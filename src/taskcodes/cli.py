@@ -32,14 +32,17 @@ from .probability import (
     read_markov_text,
     read_pmf_text,
     renyi_entropy,
+    renyi_rho,
 )
 from .coding import (
     MomentReport,
     TaskEncoder,
+    as_rate,
     block_experiment,
     brute_force_optimum,
     build_encoder,
     lower_bound,
+    m_tilde,
     moment,
     upper_bound,
 )
@@ -102,6 +105,8 @@ def _load_budgets(path: str) -> LambdaBudget:
 
 
 def _parse_range(spec: str, step: int) -> list[int]:
+    if step < 1:
+        raise UsageError(f"--step must be a positive integer, got {step}")
     try:
         lo_s, hi_s = spec.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -148,7 +153,7 @@ def cmd_entropy(args) -> None:
         if args.rho is not None:
             lines.append("rho,entropy_bits")
             for rho in _parse_alphas(args.rho):
-                lines.append(f"{_fmt(rho)},{_fmt(renyi_entropy(p, 1.0 / (1.0 + rho)))}")
+                lines.append(f"{_fmt(rho)},{_fmt(renyi_rho(p, rho))}")
         else:
             if args.alpha is None:
                 raise UsageError("entropy --pmf needs --alpha or --rho")
@@ -196,7 +201,7 @@ def cmd_construct(args) -> None:
         moment=moment(p, enc, rho),
         lower=lower_bound(p, args.M, rho),
         upper=upper_bound(p, args.M, rho),
-        m_tilde=(args.M - math.log2(p.size) - 2.0) / 4.0,
+        m_tilde=m_tilde(args.M, p.size),
         delta=math.nan,
     )
     lines.append(report.csv_row())
@@ -228,6 +233,10 @@ def cmd_oracle(args) -> None:
 def cmd_sweep(args) -> None:
     if args.rate is None or args.rho is None or args.n is None:
         raise UsageError("sweep needs --rate, --rho and --n")
+    try:
+        rate = as_rate(args.rate)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad rate {args.rate!r}; expected a decimal or a fraction") from None
     cap = _cap(args)
     ns = _parse_range(args.n, args.step)
     header = MomentReport.CSV_HEADER
@@ -237,17 +246,17 @@ def cmd_sweep(args) -> None:
             raise UsageError("mismatched sweeps need --pmf, not --markov")
         src = _load_markov(args.markov)
         for n in ns:
-            rows.append(block_experiment(markov_joint(src, n, cap), args.rate, args.rho))
+            rows.append(block_experiment(markov_joint(src, n, cap), rate, args.rho))
     elif args.pmf:
         p = _load_pmf(args.pmf)
         if args.q:
             q = _load_pmf(args.q)
             header += ",q_id,delta_bits"
             for n in ns:
-                rows.append(mismatched_block_experiment(p, q, args.rate, args.rho, n, cap))
+                rows.append(mismatched_block_experiment(p, q, rate, args.rho, n, cap))
         else:
             for n in ns:
-                rows.append(block_experiment(iid_joint(p, n, cap), args.rate, args.rho))
+                rows.append(block_experiment(iid_joint(p, n, cap), rate, args.rho))
     else:
         raise UsageError("sweep needs --pmf or --markov")
     lines = [header]

@@ -52,8 +52,7 @@ class TaskEncoder:
     @property
     def assignment(self) -> tuple[int, ...]:
         """Description id per element, 1-based."""
-        return tuple(self.partition.block_of(x) + 1
-                     for x in range(self.partition.ground_size))
+        return tuple((self.partition.labels + 1).tolist())
 
 
 @dataclass
@@ -109,13 +108,15 @@ def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
     rt = 1.0 / (1.0 + rho)
     supp = p.masses > 0.0
     beta = 2.0 * math.fsum(p.masses[supp] ** rt) / (m - threshold)
-    budgets: list[float] = []
-    for mass in p.masses:
-        if mass <= 0.0:
-            budgets.append(math.inf)
-        else:
-            budgets.append(max(1, math.ceil(beta * mass ** (-rt))))
-    return LambdaBudget(budgets)
+    # One scalar power per distinct mass, never np.power on the array: the
+    # vectorized power can differ from the scalar one in the last bit, and
+    # the ceil can turn that bit into a different budget.  (Sorted distinct
+    # masses by hand: np.unique imports numpy.ma, 1.2 MB, on first use.)
+    masses = np.sort(p.masses)
+    masses = masses[np.concatenate(([True], masses[1:] != masses[:-1]))]
+    budgets = [math.inf if mass <= 0.0 else max(1, math.ceil(beta * mass ** (-rt)))
+               for mass in masses]
+    return LambdaBudget.from_index(budgets, np.searchsorted(masses, p.masses))
 
 
 def build_encoder(p: Pmf, rho: float, m: int) -> TaskEncoder:
@@ -133,7 +134,8 @@ def moment(p: Pmf, enc: TaskEncoder, rho: float) -> float:
             f"pmf over {p.size} symbols vs encoder over "
             f"{enc.partition.ground_size}"
         )
-    sizes = np.array(enc.partition.cardinalities(), dtype=float)
+    part = enc.partition
+    sizes = part.sizes[part.labels].astype(float)
     return math.fsum(p.masses * sizes ** rho)
 
 
@@ -255,35 +257,50 @@ def floor_pow2(exponent: Fraction) -> int:
         return int(mpmath.floor(mpmath.power(2, val)))
 
 
-def block_experiment(law: JointLaw, rate, rho: float) -> MomentReport:
-    """Build the encoder for an n-tuple law with M = floor(2^(nR))
-    descriptions and report its moment next to both bounds.
-
-    delta = R - log2(Mtilde)/n is the finite-n slack between the upper
-    bound's exponent and the rate; it vanishes as n grows.
-    """
-    _check_rho(rho)
-    rate_fr = as_rate(rate)
-    n = law.n
-    m = floor_pow2(rate_fr * n)
-    threshold = n * math.log2(law.base) + 2.0
+def _description_count(rate: Fraction, n: int, base: int) -> int:
+    """M = floor(2^(nR)) for n-tuples over a base-letter alphabet; raises
+    RateTooSmallError unless M > n*log2|X| + 2."""
+    m = floor_pow2(rate * n)
+    threshold = n * math.log2(base) + 2.0
     if not m > threshold:
         raise RateTooSmallError(
             f"floor(2^(nR)) = {m} at n = {n} does not exceed "
             f"n*log2|X| + 2 = {threshold:.6g}"
         )
-    p = law.as_pmf()
-    enc = build_encoder(p, rho, m)
+    return m
+
+
+def _block_report(n: int, rate: Fraction, rho: float, p: Pmf, enc: TaskEncoder,
+                 upper: float, mismatch_bits: float | None = None) -> MomentReport:
+    """The report row of an n-tuple encoder scored under p, next to the
+    converse bound and the given achievability bound.
+
+    delta = R - log2(Mtilde)/n is the finite-n slack between the upper
+    bound's exponent and the rate; it vanishes as n grows.
+    """
+    m = enc.description_count
     mt = m_tilde(m, p.size)
     return MomentReport(
         n=n,
-        rate=float(rate_fr),
+        rate=float(rate),
         rho=rho,
         description_count=m,
         used_count=enc.used_count,
         moment=moment(p, enc, rho),
         lower=lower_bound(p, m, rho),
-        upper=upper_bound(p, m, rho),
+        upper=upper,
         m_tilde=mt,
-        delta=float(rate_fr) - math.log2(mt) / n,
+        delta=float(rate) - math.log2(mt) / n,
+        mismatch_bits=mismatch_bits,
     )
+
+
+def block_experiment(law: JointLaw, rate, rho: float) -> MomentReport:
+    """Build the encoder for an n-tuple law with M = floor(2^(nR))
+    descriptions and report its moment next to both bounds."""
+    _check_rho(rho)
+    rate_fr = as_rate(rate)
+    m = _description_count(rate_fr, law.n, law.base)
+    p = law.as_pmf()
+    return _block_report(law.n, rate_fr, rho, p, build_encoder(p, rho, m),
+                        upper_bound(p, m, rho))

@@ -18,25 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, InvalidOrderError, SupportViolationError
-from .partitions import build_partition
+from .errors import AlphabetMismatchError, SupportViolationError
 from .coding import (
     MomentReport,
     TaskEncoder,
     as_rate,
     build_encoder,
-    floor_pow2,
-    lambda_from_law,
-    lower_bound,
     m_tilde,
-    moment,
-    _check_m,
+    _block_report,
     _check_rho,
+    _description_count,
     _exp2,
 )
 from .probability import (
     DEFAULT_TUPLE_CAP,
     Pmf,
+    _check_alpha,
     iid_joint,
     kl_divergence,
     log2sumexp,
@@ -48,11 +45,6 @@ from .probability import (
 class DivergenceValue:
     alpha: float
     bits: float
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or alpha == 1.0:
-        raise InvalidOrderError(f"order alpha must be positive and != 1, got {alpha}")
 
 
 def _check_alphabets(p, q) -> None:
@@ -163,6 +155,15 @@ def product_additivity_check(p: Pmf, q: Pmf, alpha: float, n: int,
     return abs(joint - n * single) <= 1e-9 * n
 
 
+def _mismatched_upper(p, q, m: int, rho: float) -> float:
+    """1 + 2^(rho*(H(p) + Delta(p||q) - log2 Mtilde)) for Pmf or JointLaw
+    arguments; +inf when the divergence is."""
+    delta = _delta_bits(p.log_masses, q.log_masses, 1.0 / (1.0 + rho))
+    if math.isinf(delta):
+        return math.inf
+    return 1.0 + _exp2(rho * (renyi_rho(p, rho) + delta - math.log2(m_tilde(m, p.size))))
+
+
 def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEncoder]:
     """Build the encoder from q, and return the moment bound it obeys under
     p: 1 + 2^(rho*(H(p) + Delta(p||q) - log2 Mtilde)), entropy and
@@ -173,16 +174,8 @@ def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEnc
     """
     _check_rho(rho)
     _check_alphabets(p, q)
-    _check_m(m, q.size)
-    part = build_partition(lambda_from_law(q, rho, m))
-    enc = TaskEncoder(description_count=m, partition=part)
-    rt = 1.0 / (1.0 + rho)
-    delta = _delta_bits(p.log_masses, q.log_masses, rt)
-    mt = m_tilde(m, p.size)
-    if math.isinf(delta):
-        return math.inf, enc
-    bound = 1.0 + _exp2(rho * (renyi_rho(p, rho) + delta - math.log2(mt)))
-    return bound, enc
+    enc = build_encoder(q, rho, m)
+    return _mismatched_upper(p, q, m, rho), enc
 
 
 def mismatched_block_experiment(p: Pmf, q: Pmf, rate, rho: float, n: int,
@@ -195,34 +188,9 @@ def mismatched_block_experiment(p: Pmf, q: Pmf, rate, rho: float, n: int,
     rate_fr = as_rate(rate)
     jp = iid_joint(p, n, cap)
     jq = iid_joint(q, n, cap)
-    m = floor_pow2(rate_fr * n)
-    threshold = n * math.log2(p.size) + 2.0
-    if not m > threshold:
-        from .errors import RateTooSmallError
-
-        raise RateTooSmallError(
-            f"floor(2^(nR)) = {m} at n = {n} does not exceed "
-            f"n*log2|X| + 2 = {threshold:.6g}"
-        )
-    pn = jp.as_pmf()
+    m = _description_count(rate_fr, n, p.size)
     enc = build_encoder(jq.as_pmf(), rho, m)
-    rt = 1.0 / (1.0 + rho)
-    delta_n = _delta_bits(jp.log_masses, jq.log_masses, rt)
-    mt = m_tilde(m, pn.size)
-    if math.isinf(delta_n):
-        upper = math.inf
-    else:
-        upper = 1.0 + _exp2(rho * (renyi_rho(jp, rho) + delta_n - math.log2(mt)))
-    return MomentReport(
-        n=n,
-        rate=float(rate_fr),
-        rho=rho,
-        description_count=m,
-        used_count=enc.used_count,
-        moment=moment(pn, enc, rho),
-        lower=lower_bound(pn, m, rho),
-        upper=upper,
-        m_tilde=mt,
-        delta=float(rate_fr) - math.log2(mt) / n,
-        mismatch_bits=_delta_bits(p.log_masses, q.log_masses, rt),
+    return _block_report(
+        n, rate_fr, rho, jp.as_pmf(), enc, _mismatched_upper(jp, jq, m, rho),
+        mismatch_bits=_delta_bits(p.log_masses, q.log_masses, 1.0 / (1.0 + rho)),
     )

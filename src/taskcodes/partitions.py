@@ -10,10 +10,13 @@ contains x no larger than min(lambda(x), k).
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import GroundSetMismatchError
 
@@ -23,50 +26,86 @@ Budget = int | float  # positive int, or math.inf
 class Partition:
     """An exact partition of {0, ..., k-1} into nonempty blocks.
 
-    Block order is preserved as given (the greedy constructor relies on it);
-    equality ignores order.
+    Stored as two read-only int arrays: `labels[x]` is the index of the
+    block holding x, with blocks numbered in the order they were given (the
+    greedy constructor relies on it), and `sizes[b]` is the cardinality of
+    block b.  `blocks`, `block_of`, `block_size_of`, `cardinalities()` and
+    `to_text()` are views built on demand from these arrays.  Equality
+    ignores block order.
     """
 
-    __slots__ = ("blocks", "_block_of")
+    __slots__ = ("labels", "sizes")
 
     def __init__(self, blocks) -> None:
-        cleaned = []
-        for block in blocks:
-            items = sorted(block)
-            if not items:
-                raise ValueError("empty block")
-            cleaned.append(tuple(items))
-        seen: dict[int, int] = {}
-        for b, items in enumerate(cleaned):
-            for x in items:
+        cleaned = [sorted(block) for block in blocks]
+        if not all(cleaned):
+            raise ValueError("empty block")
+        flat = [x for items in cleaned for x in items]
+        if len(set(flat)) < len(flat):
+            seen = set()
+            for x in flat:
                 if x in seen:
                     raise ValueError(f"element {x} appears in more than one block")
-                seen[x] = b
-        size = len(seen)
-        if not cleaned or sorted(seen) != list(range(size)):
+                seen.add(x)
+        # distinct ids with min 0 and max k-1 are exactly 0..k-1; the ids come
+        # from files, so no array as long as their range is ever allocated
+        elems = np.array(flat)
+        if (elems.dtype.kind not in "iu"  # no blocks, or not all ints
+                or elems.min() != 0 or elems.max() != elems.size - 1):
             raise ValueError("blocks must cover a dense range 0..k-1")
-        self.blocks = tuple(cleaned)
-        self._block_of = tuple(seen[x] for x in range(size))
+        labels = np.empty(elems.size, dtype=np.intp)
+        labels[elems] = np.repeat(np.arange(len(cleaned)), [len(b) for b in cleaned])
+        self._set_labels(labels)
+
+    @classmethod
+    def from_labels(cls, labels) -> "Partition":
+        """The partition whose block labels[x] holds x; the block indices in
+        use must be exactly 0..N-1.  An intp array is kept without a copy
+        and becomes read-only."""
+        part = cls.__new__(cls)
+        part._set_labels(np.asarray(labels, dtype=np.intp))
+        return part
+
+    def _set_labels(self, labels: np.ndarray) -> None:
+        if labels.ndim != 1 or labels.size == 0 or labels.min() < 0:
+            raise ValueError("blocks must cover a dense range 0..k-1")
+        if labels.max() >= labels.size:  # more block indices than elements
+            raise ValueError("empty block")
+        sizes = np.bincount(labels)
+        if sizes.min() == 0:
+            raise ValueError("empty block")
+        labels.flags.writeable = False
+        sizes.flags.writeable = False
+        self.labels = labels
+        self.sizes = sizes
 
     @property
     def ground_size(self) -> int:
-        return len(self._block_of)
+        return int(self.labels.size)
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return int(self.sizes.size)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks in their given order, each as a sorted tuple."""
+        # labels in the smallest dtype make the stable sort a radix sort
+        small = self.labels.astype(np.min_scalar_type(self.num_blocks - 1))
+        members = np.argsort(small, kind="stable").tolist()
+        bounds = [0, *itertools.accumulate(self.sizes.tolist())]
+        return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def block_of(self, x: int) -> int:
-        return self._block_of[x]
+        return int(self.labels[x])
 
     def block_size_of(self, x: int) -> int:
         """L(x): the cardinality of the block containing x."""
-        return len(self.blocks[self._block_of[x]])
+        return int(self.sizes[self.labels[x]])
 
     def cardinalities(self) -> list[int]:
         """L(x) for every x in ground-set order."""
-        sizes = [len(b) for b in self.blocks]
-        return [sizes[b] for b in self._block_of]
+        return self.sizes[self.labels].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -99,32 +138,63 @@ class Partition:
         return cls(blocks)
 
 
+def _clean_budget(b) -> Budget:
+    if b == math.inf:
+        return math.inf
+    ib = int(b)
+    if ib != b or ib < 1:
+        raise ValueError(f"budget must be a positive integer or inf, got {b!r}")
+    return ib
+
+
 class LambdaBudget:
     """Cardinality budgets lambda: X -> {1, 2, ...} union {inf}.
+
+    Stored as `values`, the distinct budgets in increasing order (ints, then
+    inf), and `codes`, a read-only unsigned int array with
+    lambda(x) = values[codes[x]].  Codes order elements as their budgets do,
+    and they fit the smallest unsigned dtype, so a stable sort by code is a
+    cheap stable sort by budget.  `budgets` is a tuple view built on demand.
 
     mu = sum_x 1/lambda(x) is kept as an exact rational (1/inf = 0) so the
     floor in the subset-count bound never sits on a float boundary.
     """
 
-    __slots__ = ("budgets",)
+    __slots__ = ("values", "codes")
 
     def __init__(self, budgets) -> None:
-        cleaned: list[Budget] = []
-        for b in budgets:
-            if b == math.inf:
-                cleaned.append(math.inf)
-                continue
-            ib = int(b)
-            if ib != b or ib < 1:
-                raise ValueError(f"budget must be a positive integer or inf, got {b!r}")
-            cleaned.append(ib)
+        self._set(budgets, None)
+
+    @classmethod
+    def from_index(cls, budgets, index) -> "LambdaBudget":
+        """The budget map x -> budgets[index[x]], for budgets given once per
+        distinct key (say, per distinct mass) and an int array mapping each
+        element to its key."""
+        lb = cls.__new__(cls)
+        lb._set(budgets, np.asarray(index))
+        return lb
+
+    def _set(self, budgets, index) -> None:
+        cleaned = [_clean_budget(b) for b in budgets]
         if not cleaned:
             raise ValueError("need at least one budget")
-        self.budgets = tuple(cleaned)
+        values = sorted(set(cleaned))
+        rank = {v: i for i, v in enumerate(values)}
+        codes = np.array([rank[b] for b in cleaned],
+                         dtype=np.min_scalar_type(len(values) - 1))
+        if index is not None:
+            codes = codes[index]
+        codes.flags.writeable = False
+        self.values = tuple(values)
+        self.codes = codes
+
+    @property
+    def budgets(self) -> tuple[Budget, ...]:
+        return tuple(map(self.values.__getitem__, self.codes.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.budgets)
+        return int(self.codes.size)
 
     def __len__(self) -> int:
         return self.size
@@ -132,8 +202,9 @@ class LambdaBudget:
     @property
     def mu(self) -> Fraction:
         """sum_x 1/lambda(x) as an exact rational."""
-        counts = Counter(b for b in self.budgets if b != math.inf)
-        return sum((Fraction(c, b) for b, c in counts.items()), Fraction(0))
+        counts = np.bincount(self.codes, minlength=len(self.values)).tolist()
+        return sum((Fraction(c, b) for b, c in zip(self.values, counts)
+                    if b != math.inf), Fraction(0))
 
     def __repr__(self) -> str:
         return f"LambdaBudget({list(self.budgets)!r})"
@@ -141,8 +212,11 @@ class LambdaBudget:
 
 def kraft_sum(part: Partition) -> Fraction:
     """sum_x 1/L(x) as an exact rational; always equals the block count."""
-    counts = Counter(len(b) for b in part.blocks for _ in b)
-    return sum((Fraction(c, size) for size, c in counts.items()), Fraction(0))
+    counts = np.bincount(part.sizes)  # blocks per block size
+    sizes = np.flatnonzero(counts)
+    # the s * c elements in the c blocks of size s add s * c / s
+    return sum((Fraction(s * c, s)
+                for s, c in zip(sizes.tolist(), counts[sizes].tolist())), Fraction(0))
 
 
 _GRID_POINTS = 512
@@ -189,23 +263,27 @@ def build_partition(budget: LambdaBudget) -> Partition:
     lambda(head) elements (or all that remain).  The result satisfies
     L(x) <= min(lambda(x), k) and uses at most subset_count_bound(mu, k)
     blocks.
+
+    The sweep walks the runs of equal budgets, not the blocks: inside a run
+    of budget b that starts at a block head, heads sit every b positions,
+    and the run's last block may reach into the runs after it.
     """
-    budgets = budget.budgets
-    size = len(budgets)
-    absorbing = [x for x in range(size) if budgets[x] >= size]
-    rest = sorted((x for x in range(size) if budgets[x] < size),
-                  key=lambda x: (budgets[x], x))
-    blocks: list[list[int]] = []
-    if absorbing:
-        blocks.append(absorbing)
+    values, codes = budget.values, budget.codes
+    size = codes.size
+    order = np.argsort(codes, kind="stable")  # the (lambda(x), x) order
+    small = bisect.bisect_left(values, size)  # budgets below k are swept
+    counts = np.bincount(codes, minlength=len(values))[:small].tolist()
+    ends = list(itertools.accumulate(counts))
+    swept = ends[-1] if ends else 0
+    heads = np.zeros(swept, dtype=bool)
     i = 0
-    while i < len(rest):
-        quota = int(budgets[rest[i]])
-        remaining = len(rest) - i
-        take = remaining if remaining <= quota else quota
-        blocks.append(rest[i:i + take])
-        i += take
-    return Partition(blocks)
+    for b, end in zip(values, ends):
+        if i < end:
+            heads[i:end:b] = True
+            i += -(-(end - i) // b) * b  # the head after the run's last block
+    labels = np.zeros(size, dtype=np.intp)  # the absorbing block is block 0
+    labels[order[:swept]] = np.cumsum(heads) - (1 if swept == size else 0)
+    return Partition.from_labels(labels)
 
 
 class BudgetCheck(NamedTuple):
@@ -222,9 +300,10 @@ def verify_budget(part: Partition, budget: LambdaBudget) -> BudgetCheck:
             f"partition covers {part.ground_size} elements, budget has {budget.size}"
         )
     k = part.ground_size
-    for x in range(k):
-        limit = min(budget.budgets[x], k)
-        got = part.block_size_of(x)
-        if got > limit:
-            return BudgetCheck(False, x, f"element {x}: block size {got} > {limit}")
+    limits = np.array([min(b, k) for b in budget.values])[budget.codes]
+    got = part.sizes[part.labels]
+    over = np.flatnonzero(got > limits)
+    if over.size:
+        x = int(over[0])
+        return BudgetCheck(False, x, f"element {x}: block size {got[x]} > {limits[x]}")
     return BudgetCheck(True, None, "ok")

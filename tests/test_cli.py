@@ -29,6 +29,16 @@ def run(capsys, argv):
     return code, out
 
 
+def run_error(capsys, argv):
+    """Exit code and stderr of a call that must fail with one error line."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return code, captured.err
+
+
 class TestEntropy:
     def test_uniform_alpha(self, capsys, files):
         code, out = run(capsys, ["entropy", "--pmf", str(files["uniform4"]),
@@ -53,6 +63,13 @@ class TestEntropy:
         rates = [float(v) for _, v in rows]
         # normalized entropies decrease toward the sticky chain's rate
         assert all(a >= b - 1e-12 for a, b in zip(rates[1:], rates[2:]))
+
+    @pytest.mark.parametrize("rho", ["-1", "-0.5", "0"])
+    def test_nonpositive_rho_exit_2(self, capsys, files, rho):
+        code, err = run_error(capsys, ["entropy", "--pmf", str(files["bern01"]),
+                                       "--rho", rho])
+        assert code == 2
+        assert "rho must be positive" in err
 
     def test_malformed_pmf_is_usage_error(self, capsys, files):
         bad = files["tmp"] / "bad.pmf"
@@ -137,6 +154,20 @@ class TestSweep:
         code, _ = run(capsys, ["sweep", "--pmf", str(files["bern01"]),
                                "--rate", "0.9", "--rho", "1", "--n", "8..4"])
         assert code == 1
+
+    def test_zero_step_usage_error(self, capsys, files):
+        code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),
+                                       "--rate", "0.9", "--rho", "1", "--n", "4..8",
+                                       "--step", "0"])
+        assert code == 1
+        assert "--step" in err
+
+    @pytest.mark.parametrize("rate", ["abc", "1/0", "nan"])
+    def test_malformed_rate_usage_error(self, capsys, files, rate):
+        code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),
+                                       "--rate", rate, "--rho", "1", "--n", "4..8"])
+        assert code == 1
+        assert "bad rate" in err
 
     def test_rate_too_small_exit_2(self, capsys, files):
         code, _ = run(capsys, ["sweep", "--pmf", str(files["bern01"]),
