@@ -2,7 +2,7 @@
 evaluation, brute-force oracles, block-length sweeps, and mismatch tables.
 
 Exit codes: 0 success, 1 usage/config error, 2 numeric precondition
-violation, 3 enumeration cap exceeded.  Output is CSV ('.' decimal
+violation or overflow, 3 enumeration cap exceeded.  Output is CSV ('.' decimal
 separator, 12 significant digits, LF line endings); identical inputs give
 byte-identical output.
 """
@@ -104,9 +104,14 @@ def _load_budgets(path: str) -> LambdaBudget:
         raise UsageError(f"{path}: {exc}") from None
 
 
+def _positive(name: str, value: int) -> int:
+    if value < 1:
+        raise UsageError(f"{name} must be a positive integer, got {value}")
+    return value
+
+
 def _parse_range(spec: str, step: int) -> list[int]:
-    if step < 1:
-        raise UsageError(f"--step must be a positive integer, got {step}")
+    _positive("--step", step)
     try:
         lo_s, hi_s = spec.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -136,13 +141,14 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 def _cap(args) -> int:
     if args.cap is not None:
-        return args.cap
+        return _positive("--cap", args.cap)
     env = os.environ.get("TASKCODES_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise UsageError(f"TASKCODES_CAP={env!r} is not an integer") from None
+        return _positive("TASKCODES_CAP", cap)
     return DEFAULT_TUPLE_CAP
 
 
@@ -224,7 +230,7 @@ def cmd_oracle(args) -> None:
     if not args.pmf or args.M is None or args.rho is None:
         raise UsageError("oracle needs --pmf, --M and --rho")
     p = _load_pmf(args.pmf)
-    value, part = brute_force_optimum(p, args.M, args.rho)
+    value, part = brute_force_optimum(p, _positive("--M", args.M), args.rho)
     lines = [_fmt(value)]
     lines.extend(part.to_text().rstrip("\n").split("\n"))
     _emit(lines, args.out)
@@ -364,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (DescriptionCountTooSmallError, RateTooSmallError, InvalidOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,11 +21,10 @@ from .errors import (
     AlphabetMismatchError,
     AlphabetTooLargeError,
     DescriptionCountTooSmallError,
-    InvalidOrderError,
     RateTooSmallError,
 )
 from .partitions import LambdaBudget, Partition, build_partition
-from .probability import DEFAULT_TUPLE_CAP, JointLaw, Pmf, renyi_rho
+from .probability import DEFAULT_TUPLE_CAP, JointLaw, Pmf, _check_rho, renyi_rho
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,6 @@ class MomentReport:
         ])
 
 
-def _check_rho(rho: float) -> None:
-    if not (rho > 0.0):
-        raise InvalidOrderError(f"rho must be positive, got {rho}")
-
-
 def _check_m(m: int, alphabet_size: int) -> float:
     threshold = math.log2(alphabet_size) + 2.0
     if not m > threshold:
@@ -145,13 +139,23 @@ def _exp2(exponent: float) -> float:
     return 2.0 ** exponent
 
 
+def _lower(h: float, m: int, rho: float) -> float:
+    return _exp2(rho * (h - math.log2(m)))
+
+
+def _upper(h: float, mt: float, rho: float) -> float:
+    if mt <= 0.0:
+        return math.inf
+    return 1.0 + _exp2(rho * (h - math.log2(mt)))
+
+
 def lower_bound(p, m: int, rho: float) -> float:
     """Converse bound 2^(rho*(H_{1/(1+rho)}(p) - log2 M)), valid for every
     encoder with M descriptions."""
     _check_rho(rho)
     if m < 1:
         raise ValueError("M must be a positive integer")
-    return _exp2(rho * (renyi_rho(p, rho) - math.log2(m)))
+    return _lower(renyi_rho(p, rho), m, rho)
 
 
 def m_tilde(m: int, alphabet_size: int) -> float:
@@ -164,26 +168,23 @@ def upper_bound(p, m: int, rho: float) -> float:
     +inf when M <= log2|X| + 2."""
     _check_rho(rho)
     size = p.size if isinstance(p, Pmf) else int(p.log_masses.size)
-    mt = m_tilde(m, size)
-    if mt <= 0.0:
-        return math.inf
-    return 1.0 + _exp2(rho * (renyi_rho(p, rho) - math.log2(mt)))
+    return _upper(renyi_rho(p, rho), m_tilde(m, size), rho)
 
 
-def _growth_strings(n: int, max_blocks: int):
-    """Restricted growth strings of length n with at most max_blocks values,
-    in lexicographic order."""
-    a = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            yield a
-            return
-        for v in range(min(used + 1, max_blocks)):
-            a[i] = v
-            yield from rec(i + 1, max(used, v + 1))
-
-    yield from rec(1, 1)
+def _grow(masks: np.ndarray, used: np.ndarray, first: int, last: int,
+          limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extend restricted growth strings by symbols first..last-1, keeping
+    lexicographic order.  A string is a row of block bitmasks (bit i set in
+    column b when symbol i sits in block b) and uses used[row] blocks; a
+    symbol opens at most one new block and never block number limit."""
+    for i in range(first, last):
+        fan = np.minimum(used + 1, limit)
+        parent = np.repeat(np.arange(used.size), fan)
+        block = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        masks = masks[parent]
+        masks[np.arange(parent.size), block] |= 1 << i
+        used = np.maximum(used[parent], block + 1)
+    return masks, used
 
 
 def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
@@ -194,6 +195,15 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
     room for it (they only hurt the moment when mixed with positive mass).
     Ties go to the lexicographically smallest growth string.  Guarded to
     |X| <= 10.
+
+    A block's term w[mask] = fsum(masses in mask) * |mask|^rho comes from a
+    table over the subsets of supp(p), and a string's value is the fsum of
+    its terms.  The strings are built as arrays in chunks that share all but
+    their last five symbols.  The scan keeps the running rule "value <
+    best - 1e-15" string by string: a float sum of the terms, shrunk by far
+    more than its rounding error, skips the strings that cannot pass, and
+    the rest get their exact value.  fsum is correctly rounded and ignores
+    term order, so value and partition are those of a loop over all strings.
     """
     _check_rho(rho)
     if m < 1:
@@ -206,25 +216,34 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
         part = Partition([list(range(p.size))])
         return math.fsum(p.masses * float(p.size) ** rho), part
 
-    limit = m - 1 if zeros else m
-    masses = p.masses
-    best_val = math.inf
-    best_blocks: list[list[int]] | None = None
-    for rgs in _growth_strings(len(supp), limit):
-        nblocks = max(rgs) + 1
-        groups: list[list[int]] = [[] for _ in range(nblocks)]
-        for elem, b in zip(supp, rgs):
-            groups[b].append(elem)
-        val = math.fsum(
-            math.fsum(masses[x] for x in g) * float(len(g)) ** rho for g in groups
-        )
-        if val < best_val - 1e-15:
-            best_val = val
-            best_blocks = [list(g) for g in groups]
-    assert best_blocks is not None
+    s = len(supp)
+    limit = min(m - 1 if zeros else m, s)
+    masses = p.masses[supp].tolist()
+    powers = [float(c) ** rho for c in range(s + 1)]
+    terms = [math.fsum(masses[i] for i in range(s) if mask >> i & 1)
+             * powers[mask.bit_count()] for mask in range(1 << s)]
+    table = np.array(terms)
+    # the first string puts every symbol in block 0
+    best_masks = [(1 << s) - 1] + [0] * (limit - 1)
+    best = terms[best_masks[0]]
+    start = np.zeros((1, limit), np.uint16)
+    start[0, 0] = 1
+    head = max(1, s - 5)
+    prefixes, used = _grow(start, np.ones(1, np.intp), 1, head, limit)
+    for k in range(used.size):
+        chunk, _ = _grow(prefixes[k:k + 1], used[k:k + 1], head, s, limit)
+        floor = table[chunk].sum(axis=1) * (1.0 - 1e-13)
+        for j in np.flatnonzero(floor < best - 1e-15).tolist():
+            if floor[j] < best - 1e-15:
+                row = chunk[j].tolist()
+                val = math.fsum([terms[mask] for mask in row])
+                if val < best - 1e-15:
+                    best, best_masks = val, row
+    blocks = [[supp[i] for i in range(s) if mask >> i & 1]
+              for mask in best_masks if mask]
     if zeros:
-        best_blocks.append(zeros)
-    return best_val, Partition(best_blocks)
+        blocks.append(zeros)
+    return best, Partition(blocks)
 
 
 def as_rate(rate) -> Fraction:
@@ -259,7 +278,11 @@ def floor_pow2(exponent: Fraction) -> int:
 
 def _description_count(rate: Fraction, n: int, base: int) -> int:
     """M = floor(2^(nR)) for n-tuples over a base-letter alphabet; raises
-    RateTooSmallError unless M > n*log2|X| + 2."""
+    RateTooSmallError unless M > n*log2|X| + 2, and OverflowError when
+    nR >= 1024, where M is beyond the float range the encoder works in."""
+    if rate * n >= 1024:
+        raise OverflowError(f"nR = {rate * n} at n = {n}: M = floor(2^(nR)) "
+                            "exceeds the float range")
     m = floor_pow2(rate * n)
     threshold = n * math.log2(base) + 2.0
     if not m > threshold:
@@ -271,15 +294,18 @@ def _description_count(rate: Fraction, n: int, base: int) -> int:
 
 
 def _block_report(n: int, rate: Fraction, rho: float, p: Pmf, enc: TaskEncoder,
-                 upper: float, mismatch_bits: float | None = None) -> MomentReport:
+                 upper: float | None = None,
+                 mismatch_bits: float | None = None) -> MomentReport:
     """The report row of an n-tuple encoder scored under p, next to the
-    converse bound and the given achievability bound.
+    converse bound and the given achievability bound (by default the
+    matched one, from the same Renyi entropy as the converse bound).
 
     delta = R - log2(Mtilde)/n is the finite-n slack between the upper
     bound's exponent and the rate; it vanishes as n grows.
     """
     m = enc.description_count
     mt = m_tilde(m, p.size)
+    h = renyi_rho(p, rho)
     return MomentReport(
         n=n,
         rate=float(rate),
@@ -287,8 +313,8 @@ def _block_report(n: int, rate: Fraction, rho: float, p: Pmf, enc: TaskEncoder,
         description_count=m,
         used_count=enc.used_count,
         moment=moment(p, enc, rho),
-        lower=lower_bound(p, m, rho),
-        upper=upper,
+        lower=_lower(h, m, rho),
+        upper=_upper(h, mt, rho) if upper is None else upper,
         m_tilde=mt,
         delta=float(rate) - math.log2(mt) / n,
         mismatch_bits=mismatch_bits,
@@ -302,5 +328,4 @@ def block_experiment(law: JointLaw, rate, rho: float) -> MomentReport:
     rate_fr = as_rate(rate)
     m = _description_count(rate_fr, law.n, law.base)
     p = law.as_pmf()
-    return _block_report(law.n, rate_fr, rho, p, build_encoder(p, rho, m),
-                        upper_bound(p, m, rho))
+    return _block_report(law.n, rate_fr, rho, p, build_encoder(p, rho, m))

@@ -26,14 +26,14 @@ from .coding import (
     build_encoder,
     m_tilde,
     _block_report,
-    _check_rho,
     _description_count,
-    _exp2,
+    _upper,
 )
 from .probability import (
     DEFAULT_TUPLE_CAP,
     Pmf,
     _check_alpha,
+    _check_rho,
     iid_joint,
     kl_divergence,
     log2sumexp,
@@ -161,7 +161,7 @@ def _mismatched_upper(p, q, m: int, rho: float) -> float:
     delta = _delta_bits(p.log_masses, q.log_masses, 1.0 / (1.0 + rho))
     if math.isinf(delta):
         return math.inf
-    return 1.0 + _exp2(rho * (renyi_rho(p, rho) + delta - math.log2(m_tilde(m, p.size))))
+    return _upper(renyi_rho(p, rho) + delta, m_tilde(m, p.size), rho)
 
 
 def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEncoder]:

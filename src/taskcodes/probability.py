@@ -34,9 +34,35 @@ def log2sumexp(log_values: np.ndarray) -> float:
     return top + math.log2(float(np.exp2(finite - top).sum()))
 
 
+def _log2sumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log2sumexp of each row of a C-contiguous 2-D array of finite values
+    and -inf, bit for bit.
+
+    All rows go through one array step: numpy sums each contiguous row
+    pairwise, as it sums the 1-D array inside log2sumexp, and the logarithm
+    is math.log2 per row, because np.log2 can differ from it in the last
+    bit.  A row holding -inf is then redone by log2sumexp, which drops those
+    entries and so groups the pairwise sum differently; a row of -inf only
+    passes through nan (-inf - -inf) first, so callers ignore 'invalid'.
+    """
+    top = np.fmax.reduce(a, axis=1)
+    terms = a - top[:, None]
+    np.exp2(terms, out=terms)
+    out = top + list(map(math.log2, terms.sum(axis=1).tolist()))
+    if a.min() == -math.inf:
+        for j in np.flatnonzero(np.isneginf(a).any(axis=1)).tolist():
+            out[j] = log2sumexp(a[j])
+    return out
+
+
 def _check_alpha(alpha: float) -> None:
     if not (alpha > 0.0) or alpha == 1.0:
         raise InvalidOrderError(f"order alpha must be positive and != 1, got {alpha}")
+
+
+def _check_rho(rho: float) -> None:
+    if not (rho > 0.0):
+        raise InvalidOrderError(f"rho must be positive, got {rho}")
 
 
 class Pmf:
@@ -168,8 +194,7 @@ def renyi_entropy(dist, alpha: float) -> float:
 def renyi_rho(dist, rho: float) -> float:
     """Renyi entropy of order 1/(1+rho), the order governing the rho-th
     moment of the number of performed tasks."""
-    if not (rho > 0.0):
-        raise InvalidOrderError(f"rho must be positive, got {rho}")
+    _check_rho(rho)
     return renyi_entropy(dist, 1.0 / (1.0 + rho))
 
 
@@ -203,17 +228,21 @@ def markov_renyi_sum(src: MarkovSource, alpha: float, n: int) -> float:
     """H_alpha(X^n) for a Markov chain, by the O(n * states^2) vector
     recursion v1(x) = initial(x)^alpha, v_{k+1}(x') = sum_x v_k(x) T(x,x')^alpha.
 
-    Runs entirely in the log domain, so large n cannot underflow.
+    Runs entirely in the log domain, so large n cannot underflow.  Each time
+    step is one array step: row x' of step_t + lv holds log2 of the terms
+    v_k(x) T(x,x')^alpha, and _log2sumexp_rows reduces every row at once, to
+    the same bits as a log2sumexp call per target state.
     """
     _check_alpha(alpha)
     if n < 1:
         raise ValueError("block length must be positive")
-    with np.errstate(divide="ignore"):
+    # divide: log2 of a zero transition; invalid: a row of -inf only
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_t = np.log2(src.transitions)
-    lv = alpha * src.initial.log_masses
-    step = alpha * log_t
-    for _ in range(n - 1):
-        lv = np.array([log2sumexp(lv + step[:, j]) for j in range(src.num_states)])
+        lv = alpha * src.initial.log_masses
+        step_t = np.ascontiguousarray((alpha * log_t).T)
+        for _ in range(n - 1):
+            lv = _log2sumexp_rows(step_t + lv)
     return log2sumexp(lv) / (1.0 - alpha)
 
 

@@ -126,6 +126,13 @@ class TestMomentOracle:
         assert code == 0
         assert float(out.splitlines()[0]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_oracle_nonpositive_m_usage_error(self, capsys, files, m):
+        code, err = run_error(capsys, ["oracle", "--pmf", str(files["uniform4"]),
+                                       "--M", m, "--rho", "1"])
+        assert code == 1
+        assert "--M must be a positive integer" in err
+
 
 class TestSweep:
     def test_deterministic_output(self, capsys, files):
@@ -179,6 +186,29 @@ class TestSweep:
                                "--rate", "0.9", "--rho", "1", "--n", "16..16",
                                "--cap", "1024"])
         assert code == 3
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_nonpositive_cap_usage_error(self, capsys, files, cap):
+        code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),
+                                       "--rate", "0.9", "--rho", "1", "--n", "4..4",
+                                       "--cap", cap])
+        assert code == 1
+        assert "--cap must be a positive integer" in err
+
+    @pytest.mark.parametrize("cap", ["-5", "0"])
+    def test_nonpositive_cap_env_usage_error(self, capsys, files, monkeypatch, cap):
+        monkeypatch.setenv("TASKCODES_CAP", cap)
+        code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),
+                                       "--rate", "0.9", "--rho", "1", "--n", "4..4"])
+        assert code == 1
+        assert "TASKCODES_CAP must be a positive integer" in err
+
+    @pytest.mark.parametrize("rate", ["1e3", "256"])
+    def test_rate_overflow_exit_2(self, capsys, files, rate):
+        code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),
+                                       "--rate", rate, "--rho", "1", "--n", "4..4"])
+        assert code == 2
+        assert "numeric overflow" in err
 
     def test_cap_env_override(self, capsys, files, monkeypatch):
         monkeypatch.setenv("TASKCODES_CAP", "1024")

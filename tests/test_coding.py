@@ -236,3 +236,22 @@ class TestBlockExperiment:
         row = rep.csv_row()
         assert row.startswith("8,0.9,1,")
         assert len(row.split(",")) == 10
+
+    @pytest.mark.parametrize("masses,rate,rho", [
+        ([0.9, 0.1], "0.9", 1.0),
+        ([0.5, 0.3, 0.2], "1.4", 0.25),
+        ([0.5, 0.3, 0.2, 0.0], "1.9", 3.0),
+    ])
+    def test_bounds_are_the_public_bounds(self, masses, rate, rho):
+        # one Renyi entropy serves both bounds of a row, to the same bits
+        for n in (3, 6):
+            law = iid_joint(Pmf(masses), n)
+            rep = block_experiment(law, rate, rho)
+            p = law.as_pmf()
+            assert rep.lower == lower_bound(p, rep.description_count, rho)
+            assert rep.upper == upper_bound(p, rep.description_count, rho)
+
+    @pytest.mark.parametrize("rate", ["256", "1e3"])
+    def test_description_count_beyond_float_range(self, rate):
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            block_experiment(iid_joint(Pmf([0.5, 0.5]), 4), rate, 1.0)
