@@ -53,7 +53,6 @@ from .mismatch import (
     DivergenceLimits,
     DivergenceValue,
     divergence_limits,
-    mismatched_block_experiment,
     mismatched_bound,
     product_additivity_check,
     renyi_divergence,

@@ -1,5 +1,7 @@
 """Command-line harness: entropy tables, encoder construction, moment
-evaluation, brute-force oracles, block-length sweeps, and mismatch tables.
+evaluation, brute-force oracles, block-length sweeps (matched, or with the
+encoder designed for a mismatched law via `sweep --q`), and divergence
+tables.
 
 Exit codes: 0 success, 1 usage/config error, 2 numeric precondition
 violation or overflow, 3 enumeration cap exceeded.  Output is CSV ('.' decimal
@@ -23,8 +25,9 @@ from .errors import (
 from .partitions import LambdaBudget, Partition, build_partition, kraft_sum
 from .probability import (
     DEFAULT_TUPLE_CAP,
-    MarkovSource,
-    Pmf,
+    _check_alphabets,
+    _check_rho,
+    _data_lines,
     iid_joint,
     kl_divergence,
     markov_joint,
@@ -41,26 +44,17 @@ from .coding import (
     block_experiment,
     brute_force_optimum,
     build_encoder,
+    fmt,
     lower_bound,
     m_tilde,
     moment,
     upper_bound,
 )
-from .mismatch import (
-    mismatched_block_experiment,
-    renyi_divergence,
-    sundaresan_divergence,
-)
+from .mismatch import renyi_divergence, sundaresan_divergence
 
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
-    return f"{v:.12g}"
 
 
 def _read(path: str) -> str:
@@ -71,37 +65,26 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_pmf(path: str) -> Pmf:
+def _load(path: str, parse):
+    """parse(text of the file at path), with its ValueError as a UsageError
+    that names the file."""
     try:
-        return read_pmf_text(_read(path))
+        return parse(_read(path))
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _load_markov(path: str) -> MarkovSource:
-    try:
-        return read_markov_text(_read(path))
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
-def _load_budgets(path: str) -> LambdaBudget:
+def _read_budgets(text: str) -> LambdaBudget:
     values: list[float] = []
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         if line.lower() in ("inf", "infinity"):
             values.append(math.inf)
             continue
         try:
             values.append(int(line))
         except ValueError:
-            raise UsageError(f"{path}: line {lineno}: bad budget {line!r}") from None
-    try:
-        return LambdaBudget(values)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+            raise ValueError(f"line {lineno}: bad budget {line!r}") from None
+    return LambdaBudget(values)
 
 
 def _positive(name: str, value: int) -> int:
@@ -155,19 +138,19 @@ def _cap(args) -> int:
 def cmd_entropy(args) -> None:
     lines = []
     if args.pmf:
-        p = _load_pmf(args.pmf)
+        p = _load(args.pmf, read_pmf_text)
         if args.rho is not None:
             lines.append("rho,entropy_bits")
             for rho in _parse_alphas(args.rho):
-                lines.append(f"{_fmt(rho)},{_fmt(renyi_rho(p, rho))}")
+                lines.append(f"{fmt(rho)},{fmt(renyi_rho(p, rho))}")
         else:
             if args.alpha is None:
                 raise UsageError("entropy --pmf needs --alpha or --rho")
             lines.append("alpha,entropy_bits")
             for alpha in _parse_alphas(args.alpha):
-                lines.append(f"{_fmt(alpha)},{_fmt(renyi_entropy(p, alpha))}")
+                lines.append(f"{fmt(alpha)},{fmt(renyi_entropy(p, alpha))}")
     elif args.markov:
-        src = _load_markov(args.markov)
+        src = _load(args.markov, read_markov_text)
         if args.alpha is None or args.n is None:
             raise UsageError("entropy --markov needs --alpha and --n")
         alphas = _parse_alphas(args.alpha)
@@ -176,7 +159,7 @@ def cmd_entropy(args) -> None:
         lines.append("n,entropy_rate_bits")
         for n in _parse_range(args.n, args.step):
             h = markov_renyi_sum(src, alphas[0], n)
-            lines.append(f"{n},{_fmt(h / n)}")
+            lines.append(f"{n},{fmt(h / n)}")
     else:
         raise UsageError("entropy needs --pmf or --markov")
     _emit(lines, args.out)
@@ -184,7 +167,7 @@ def cmd_entropy(args) -> None:
 
 def cmd_construct(args) -> None:
     if args.budgets:
-        part = build_partition(_load_budgets(args.budgets))
+        part = build_partition(_load(args.budgets, _read_budgets))
         lines = part.to_text().rstrip("\n").split("\n")
         lines.append(f"# blocks={part.num_blocks} kraft_sum={kraft_sum(part)}")
         _emit(lines, args.out)
@@ -193,7 +176,7 @@ def cmd_construct(args) -> None:
         raise UsageError("construct needs --pmf or --budgets")
     if args.M is None or args.rho is None:
         raise UsageError("construct --pmf needs --M and --rho")
-    p = _load_pmf(args.pmf)
+    p = _load(args.pmf, read_pmf_text)
     rho = args.rho
     enc = build_encoder(p, rho, args.M)
     lines = enc.partition.to_text().rstrip("\n").split("\n")
@@ -217,21 +200,18 @@ def cmd_construct(args) -> None:
 def cmd_moment(args) -> None:
     if not args.pmf or args.rho is None:
         raise UsageError("moment needs --pmf and --rho")
-    p = _load_pmf(args.pmf)
-    try:
-        part = Partition.from_text(_read(args.partition))
-    except ValueError as exc:
-        raise UsageError(f"{args.partition}: {exc}") from None
+    p = _load(args.pmf, read_pmf_text)
+    part = _load(args.partition, Partition.from_text)
     enc = TaskEncoder(description_count=part.num_blocks, partition=part)
-    _emit([_fmt(moment(p, enc, args.rho))], args.out)
+    _emit([fmt(moment(p, enc, args.rho))], args.out)
 
 
 def cmd_oracle(args) -> None:
     if not args.pmf or args.M is None or args.rho is None:
         raise UsageError("oracle needs --pmf, --M and --rho")
-    p = _load_pmf(args.pmf)
+    p = _load(args.pmf, read_pmf_text)
     value, part = brute_force_optimum(p, _positive("--M", args.M), args.rho)
-    lines = [_fmt(value)]
+    lines = [fmt(value)]
     lines.extend(part.to_text().rstrip("\n").split("\n"))
     _emit(lines, args.out)
 
@@ -245,52 +225,45 @@ def cmd_sweep(args) -> None:
         raise UsageError(f"bad rate {args.rate!r}; expected a decimal or a fraction") from None
     cap = _cap(args)
     ns = _parse_range(args.n, args.step)
-    header = MomentReport.CSV_HEADER
-    rows = []
+    lines = [MomentReport.CSV_HEADER]
+    suffix = ""
     if args.markov:
         if args.q:
             raise UsageError("mismatched sweeps need --pmf, not --markov")
-        src = _load_markov(args.markov)
-        for n in ns:
-            rows.append(block_experiment(markov_joint(src, n, cap), rate, args.rho))
+        src = _load(args.markov, read_markov_text)
+        rows = [block_experiment(markov_joint(src, n, cap), rate, args.rho) for n in ns]
     elif args.pmf:
-        p = _load_pmf(args.pmf)
+        p = _load(args.pmf, read_pmf_text)
         if args.q:
-            q = _load_pmf(args.q)
-            header += ",q_id,delta_bits"
-            for n in ns:
-                rows.append(mismatched_block_experiment(p, q, rate, args.rho, n, cap))
+            q = _load(args.q, read_pmf_text)
+            # before any row, so these errors come before the cap's and M's
+            _check_rho(args.rho)
+            _check_alphabets(p, q)
+            rows = [block_experiment(iid_joint(p, n, cap), rate, args.rho,
+                                     design=iid_joint(q, n, cap)) for n in ns]
+            lines[0] += ",q_id,delta_bits"
+            bits = sundaresan_divergence(p, q, 1.0 / (1.0 + args.rho)).bits
+            suffix = f",{os.path.basename(args.q)},{fmt(bits)}"
         else:
-            for n in ns:
-                rows.append(block_experiment(iid_joint(p, n, cap), rate, args.rho))
+            rows = [block_experiment(iid_joint(p, n, cap), rate, args.rho) for n in ns]
     else:
         raise UsageError("sweep needs --pmf or --markov")
-    lines = [header]
-    for report in rows:
-        row = report.csv_row()
-        if args.q:
-            row += f",{os.path.basename(args.q)},{_fmt(report.mismatch_bits)}"
-        lines.append(row)
+    lines.extend(report.csv_row() + suffix for report in rows)
     _emit(lines, args.out)
 
 
 def cmd_mismatch(args) -> None:
     if not args.pmf or not args.q:
         raise UsageError("mismatch needs --pmf and --q")
-    p = _load_pmf(args.pmf)
-    q = _load_pmf(args.q)
-    if args.rate is not None:
-        # delegate mismatched sweeps to the sweep machinery
-        args.markov = None
-        cmd_sweep(args)
-        return
+    p = _load(args.pmf, read_pmf_text)
+    q = _load(args.q, read_pmf_text)
     alphas = _parse_alphas(args.alpha) if args.alpha else [0.25, 0.5, 2.0, 4.0]
     lines = ["alpha,delta,renyi_div,kl"]
     kl = kl_divergence(p, q)
     for alpha in alphas:
         d = sundaresan_divergence(p, q, alpha).bits
         r = renyi_divergence(p, q, alpha)
-        lines.append(f"{_fmt(alpha)},{_fmt(d)},{_fmt(r)},{_fmt(kl)}")
+        lines.append(f"{fmt(alpha)},{fmt(d)},{fmt(r)},{fmt(kl)}")
     _emit(lines, args.out)
 
 
@@ -320,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         if nrange:
             sp.add_argument("--n", help="block-length range A..B")
             sp.add_argument("--step", type=int, default=1, help="range step")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for reproducibility (sweeps are "
-                             "deterministic)")
-        sp.add_argument("--cap", type=int, default=None,
-                        help="tuple enumeration cap (or env TASKCODES_CAP)")
         sp.add_argument("--out", help="output file (default: stdout)")
 
     sp = sub.add_parser("entropy", help="Renyi entropy tables")
@@ -348,10 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="block-length experiments over n")
     common(sp, markov=True, q=True, rate=True, rho=True, nrange=True)
+    sp.add_argument("--cap", type=int, default=None,
+                    help="tuple enumeration cap (or env TASKCODES_CAP)")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("mismatch", help="divergence tables / mismatched sweeps")
-    common(sp, q=True, rate=True, rho=True, alpha=True, nrange=True)
+    sp = sub.add_parser("mismatch", help="divergence tables (mismatched sweeps: "
+                                         "sweep --q)")
+    common(sp, q=True, alpha=True)
     sp.set_defaults(func=cmd_mismatch)
 
     return parser

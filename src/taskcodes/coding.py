@@ -10,11 +10,11 @@ entropy of order 1/(1+rho).
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -24,7 +24,14 @@ from .errors import (
     RateTooSmallError,
 )
 from .partitions import LambdaBudget, Partition, build_partition
-from .probability import DEFAULT_TUPLE_CAP, JointLaw, Pmf, _check_rho, renyi_rho
+from .probability import (
+    JointLaw,
+    Pmf,
+    _check_alphabets,
+    _check_rho,
+    _delta_bits,
+    renyi_rho,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,11 @@ class TaskEncoder:
         return tuple((self.partition.labels + 1).tolist())
 
 
+def fmt(v: float) -> str:
+    """A float as the CSV outputs print it: 12 significant digits, or inf."""
+    return "inf" if math.isinf(v) else f"{v:.12g}"
+
+
 @dataclass
 class MomentReport:
     """One row of a block-length experiment."""
@@ -68,14 +80,10 @@ class MomentReport:
     upper: float
     m_tilde: float
     delta: float
-    mismatch_bits: float | None = None
 
     CSV_HEADER = "n,R,rho,M,N,moment,lower,upper,m_tilde,delta"
 
     def csv_row(self) -> str:
-        def fmt(v: float) -> str:
-            return "inf" if math.isinf(v) else f"{v:.12g}"
-
         return ",".join([
             str(self.n), fmt(self.rate), fmt(self.rho),
             str(self.description_count), str(self.used_count),
@@ -167,8 +175,7 @@ def upper_bound(p, m: int, rho: float) -> float:
     """Achievability bound 1 + 2^(rho*(H_{1/(1+rho)}(p) - log2 Mtilde));
     +inf when M <= log2|X| + 2."""
     _check_rho(rho)
-    size = p.size if isinstance(p, Pmf) else int(p.log_masses.size)
-    return _upper(renyi_rho(p, rho), m_tilde(m, size), rho)
+    return _upper(renyi_rho(p, rho), m_tilde(m, p.size), rho)
 
 
 def _grow(masks: np.ndarray, used: np.ndarray, first: int, last: int,
@@ -262,18 +269,22 @@ def as_rate(rate) -> Fraction:
 def floor_pow2(exponent: Fraction) -> int:
     """floor(2**exponent) exactly for rational exponents.
 
-    Uses mpmath with enough working precision that the only way the floor
-    could be wrong is if 2**exponent were within 2^-60 of an integer, which
-    for non-integer rational exponents does not happen at desk scale.
+    Uses decimal arithmetic with enough working precision (whole + 80 bits)
+    that the only way the floor could be wrong is if 2**exponent were within
+    2^-60 of an integer, which for non-integer rational exponents does not
+    happen at desk scale.
     """
     if exponent < 0:
         return 0
     if exponent.denominator == 1:
         return 1 << int(exponent)
-    whole = int(exponent.numerator // exponent.denominator)
-    with mpmath.workprec(whole + 80):
-        val = mpmath.mpf(exponent.numerator) / mpmath.mpf(exponent.denominator)
-        return int(mpmath.floor(mpmath.power(2, val)))
+    whole = exponent.numerator // exponent.denominator
+    with decimal.localcontext() as ctx:
+        # whole + 80 bits in decimal digits (log10(2) < 0.30103), plus two
+        ctx.prec = (whole + 80) * 30103 // 100000 + 2
+        ctx.Emax = decimal.MAX_EMAX
+        val = decimal.Decimal(exponent.numerator) / exponent.denominator
+        return int(decimal.Decimal(2) ** val)
 
 
 def _description_count(rate: Fraction, n: int, base: int) -> int:
@@ -293,39 +304,45 @@ def _description_count(rate: Fraction, n: int, base: int) -> int:
     return m
 
 
-def _block_report(n: int, rate: Fraction, rho: float, p: Pmf, enc: TaskEncoder,
-                 upper: float | None = None,
-                 mismatch_bits: float | None = None) -> MomentReport:
-    """The report row of an n-tuple encoder scored under p, next to the
-    converse bound and the given achievability bound (by default the
-    matched one, from the same Renyi entropy as the converse bound).
+def block_experiment(law: JointLaw, rate, rho: float,
+                     design: JointLaw | None = None) -> MomentReport:
+    """Build the encoder for an n-tuple law with M = floor(2^(nR))
+    descriptions and report its moment next to both bounds.
+
+    With `design`, a law over the same n-tuples, the encoder is built for
+    `design` and its moment taken under `law` (mismatched design); the upper
+    bound then carries Sundaresan's penalty Delta_{1/(1+rho)}(law||design)
+    in its exponent, and is +inf when the divergence is.
 
     delta = R - log2(Mtilde)/n is the finite-n slack between the upper
     bound's exponent and the rate; it vanishes as n grows.
     """
-    m = enc.description_count
+    _check_rho(rho)
+    if design is not None:
+        _check_alphabets(law, design)
+    rate_fr = as_rate(rate)
+    m = _description_count(rate_fr, law.n, law.base)
+    if design is None:
+        p = law.as_pmf()
+        enc = build_encoder(p, rho, m)
+        penalty = 0.0
+    else:
+        # one 2^n-entry PMF at a time: the design's is dropped before the
+        # law's is built, which keeps the peak memory of a row down
+        enc = build_encoder(design.as_pmf(), rho, m)
+        penalty = _delta_bits(law.log_masses, design.log_masses, 1.0 / (1.0 + rho))
+        p = law.as_pmf()
     mt = m_tilde(m, p.size)
     h = renyi_rho(p, rho)
     return MomentReport(
-        n=n,
-        rate=float(rate),
+        n=law.n,
+        rate=float(rate_fr),
         rho=rho,
         description_count=m,
         used_count=enc.used_count,
         moment=moment(p, enc, rho),
         lower=_lower(h, m, rho),
-        upper=_upper(h, mt, rho) if upper is None else upper,
+        upper=_upper(h + penalty, mt, rho),
         m_tilde=mt,
-        delta=float(rate) - math.log2(mt) / n,
-        mismatch_bits=mismatch_bits,
+        delta=float(rate_fr) - math.log2(mt) / law.n,
     )
-
-
-def block_experiment(law: JointLaw, rate, rho: float) -> MomentReport:
-    """Build the encoder for an n-tuple law with M = floor(2^(nR))
-    descriptions and report its moment next to both bounds."""
-    _check_rho(rho)
-    rate_fr = as_rate(rate)
-    m = _description_count(rate_fr, law.n, law.base)
-    p = law.as_pmf()
-    return _block_report(law.n, rate_fr, rho, p, build_encoder(p, rho, m))

@@ -9,7 +9,8 @@ the penalty is Sundaresan's divergence
 
 evaluated at alpha = 1/(1+rho).  Conventions 0/0 = 0 and a/0 = +inf apply
 symbol by symbol.  The three factors are computed separately in the log
-domain and only then combined.
+domain and only then combined.  Mismatched block experiments are
+taskcodes.coding.block_experiment(law, rate, rho, design=...).
 """
 from __future__ import annotations
 
@@ -18,22 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, SupportViolationError
-from .coding import (
-    MomentReport,
-    TaskEncoder,
-    as_rate,
-    build_encoder,
-    m_tilde,
-    _block_report,
-    _description_count,
-    _upper,
-)
+from .errors import SupportViolationError
+from .coding import TaskEncoder, _upper, build_encoder, m_tilde
 from .probability import (
     DEFAULT_TUPLE_CAP,
     Pmf,
     _check_alpha,
+    _check_alphabets,
     _check_rho,
+    _delta_bits,
     iid_joint,
     kl_divergence,
     log2sumexp,
@@ -45,33 +39,6 @@ from .probability import (
 class DivergenceValue:
     alpha: float
     bits: float
-
-
-def _check_alphabets(p, q) -> None:
-    if p.log_masses.size != q.log_masses.size:
-        raise AlphabetMismatchError(
-            f"alphabet sizes differ: {p.log_masses.size} vs {q.log_masses.size}"
-        )
-
-
-def _delta_bits(lp: np.ndarray, lq: np.ndarray, alpha: float) -> float:
-    """Sundaresan divergence from two log2-mass vectors."""
-    log_a = log2sumexp(alpha * lq)
-    log_b = log2sumexp(alpha * lp)
-    supp_p = np.isfinite(lp)
-    supp_q = np.isfinite(lq)
-    if alpha < 1.0 and np.any(supp_p & ~supp_q):
-        return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
-    both = supp_p & supp_q
-    log_c = log2sumexp(lp[both] + (alpha - 1.0) * lq[both])
-    coeff = alpha / (1.0 - alpha)
-    if math.isinf(log_c):
-        # only reachable with alpha > 1 and disjoint supports
-        return math.inf
-    value = log_a - log_b / (1.0 - alpha) + coeff * log_c
-    if -1e-12 < value < 0.0:
-        value = 0.0
-    return value
 
 
 def sundaresan_divergence(p, q, alpha: float) -> DivergenceValue:
@@ -155,15 +122,6 @@ def product_additivity_check(p: Pmf, q: Pmf, alpha: float, n: int,
     return abs(joint - n * single) <= 1e-9 * n
 
 
-def _mismatched_upper(p, q, m: int, rho: float) -> float:
-    """1 + 2^(rho*(H(p) + Delta(p||q) - log2 Mtilde)) for Pmf or JointLaw
-    arguments; +inf when the divergence is."""
-    delta = _delta_bits(p.log_masses, q.log_masses, 1.0 / (1.0 + rho))
-    if math.isinf(delta):
-        return math.inf
-    return _upper(renyi_rho(p, rho) + delta, m_tilde(m, p.size), rho)
-
-
 def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEncoder]:
     """Build the encoder from q, and return the moment bound it obeys under
     p: 1 + 2^(rho*(H(p) + Delta(p||q) - log2 Mtilde)), entropy and
@@ -175,22 +133,5 @@ def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEnc
     _check_rho(rho)
     _check_alphabets(p, q)
     enc = build_encoder(q, rho, m)
-    return _mismatched_upper(p, q, m, rho), enc
-
-
-def mismatched_block_experiment(p: Pmf, q: Pmf, rate, rho: float, n: int,
-                                cap: int = DEFAULT_TUPLE_CAP) -> MomentReport:
-    """Block-length experiment with the encoder designed for q^n but the
-    moment taken under p^n.  The report's upper bound carries the
-    per-letter penalty Delta_{1/(1+rho)}(p||q) in its exponent."""
-    _check_rho(rho)
-    _check_alphabets(p, q)
-    rate_fr = as_rate(rate)
-    jp = iid_joint(p, n, cap)
-    jq = iid_joint(q, n, cap)
-    m = _description_count(rate_fr, n, p.size)
-    enc = build_encoder(jq.as_pmf(), rho, m)
-    return _block_report(
-        n, rate_fr, rho, jp.as_pmf(), enc, _mismatched_upper(jp, jq, m, rho),
-        mismatch_bits=_delta_bits(p.log_masses, q.log_masses, 1.0 / (1.0 + rho)),
-    )
+    delta = _delta_bits(p.log_masses, q.log_masses, 1.0 / (1.0 + rho))
+    return _upper(renyi_rho(p, rho) + delta, m_tilde(m, p.size), rho), enc

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroundSetMismatchError
+from .probability import _data_lines
 
 Budget = int | float  # positive int, or math.inf
 
@@ -127,10 +128,7 @@ class Partition:
     @classmethod
     def from_text(cls, text: str) -> "Partition":
         blocks = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _data_lines(text):
             try:
                 blocks.append([int(v) for v in line.split()])
             except ValueError:
@@ -222,8 +220,7 @@ def kraft_sum(part: Partition) -> Fraction:
 _GRID_POINTS = 512
 
 
-def subset_count_bound_detail(mu, alphabet_size: int,
-                              grid_points: int = _GRID_POINTS) -> tuple[int, float]:
+def subset_count_bound_detail(mu, alphabet_size: int) -> tuple[int, float]:
     """Minimize floor(a*mu + log_a(k) + 2) over a > 1 on a geometric grid.
 
     Returns (bound, argmin alpha).  The grid covers (1, max(4, k)] and always
@@ -238,7 +235,7 @@ def subset_count_bound_detail(mu, alphabet_size: int,
         raise ValueError("mu must be nonnegative")
     log_k = math.log(alphabet_size)
     hi = float(max(4, alphabet_size))
-    alphas = [hi ** (i / grid_points) for i in range(1, grid_points + 1)]
+    alphas = [hi ** (i / _GRID_POINTS) for i in range(1, _GRID_POINTS + 1)]
     alphas.append(2.0)
     best = None
     best_alpha = 2.0

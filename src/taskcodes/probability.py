@@ -65,6 +65,13 @@ def _check_rho(rho: float) -> None:
         raise InvalidOrderError(f"rho must be positive, got {rho}")
 
 
+def _check_alphabets(p, q) -> None:
+    if p.log_masses.size != q.log_masses.size:
+        raise AlphabetMismatchError(
+            f"alphabet sizes differ: {p.log_masses.size} vs {q.log_masses.size}"
+        )
+
+
 class Pmf:
     """A probability mass function over the dense alphabet 0..k-1.
 
@@ -105,11 +112,6 @@ class Pmf:
     def support(self) -> np.ndarray:
         """Indices with strictly positive mass."""
         return np.flatnonzero(self.masses > 0.0)
-
-    def approx_equal(self, other: "Pmf", tol: float = 1e-12) -> bool:
-        return self.size == other.size and bool(
-            np.all(np.abs(self.masses - other.masses) <= tol)
-        )
 
     def __repr__(self) -> str:
         return f"Pmf({self.masses.tolist()!r})"
@@ -249,14 +251,42 @@ def markov_renyi_sum(src: MarkovSource, alpha: float, n: int) -> float:
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """Kullback-Leibler divergence D(p||q) in bits; +inf when supp(p) is not
     contained in supp(q)."""
-    if p.size != q.size:
-        raise AlphabetMismatchError(f"alphabet sizes differ: {p.size} vs {q.size}")
+    _check_alphabets(p, q)
     supp = p.masses > 0.0
     if np.any(q.masses[supp] == 0.0):
         return math.inf
     pm = p.masses[supp]
     qm = q.masses[supp]
     return math.fsum(pm * np.log2(pm / qm))
+
+
+def _delta_bits(lp: np.ndarray, lq: np.ndarray, alpha: float) -> float:
+    """Sundaresan divergence from two log2-mass vectors (taskcodes.mismatch)."""
+    log_a = log2sumexp(alpha * lq)
+    log_b = log2sumexp(alpha * lp)
+    supp_p = np.isfinite(lp)
+    supp_q = np.isfinite(lq)
+    if alpha < 1.0 and np.any(supp_p & ~supp_q):
+        return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
+    both = supp_p & supp_q
+    log_c = log2sumexp(lp[both] + (alpha - 1.0) * lq[both])
+    coeff = alpha / (1.0 - alpha)
+    if math.isinf(log_c):
+        # only reachable with alpha > 1 and disjoint supports
+        return math.inf
+    value = log_a - log_b / (1.0 - alpha) + coeff * log_c
+    if -1e-12 < value < 0.0:
+        value = 0.0
+    return value
+
+
+def _data_lines(text: str):
+    """Yield (line number, stripped line) for each line of text that is
+    neither blank nor a '#' comment; line numbers count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def read_pmf_text(text: str) -> Pmf:
@@ -266,10 +296,7 @@ def read_pmf_text(text: str) -> Pmf:
     naming the offending line number on malformed input.
     """
     masses = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         try:
             masses.append(float(line))
         except ValueError:
@@ -282,35 +309,30 @@ def read_pmf_text(text: str) -> Pmf:
 def read_markov_text(text: str) -> MarkovSource:
     """Parse a Markov source: first line = state count, then the initial
     row, then one transition row per state, whitespace-separated."""
-    rows = []
-    numbered = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
-        numbered.append(lineno)
+    rows = list(_data_lines(text))
     if not rows:
         raise ValueError("empty Markov source file")
+    lineno, line = rows[0]
     try:
-        k = int(rows[0])
+        k = int(line)
     except ValueError:
-        raise ValueError(f"line {numbered[0]}: state count must be an integer") from None
+        raise ValueError(f"line {lineno}: state count must be an integer") from None
     if k < 1:
-        raise ValueError(f"line {numbered[0]}: state count must be positive")
+        raise ValueError(f"line {lineno}: state count must be positive")
     if len(rows) != k + 2:
         raise ValueError(f"expected {k + 2} data lines for {k} states, got {len(rows)}")
 
     def parse_row(idx: int, expect: int) -> list[float]:
-        parts = rows[idx].split()
+        lineno, line = rows[idx]
+        parts = line.split()
         if len(parts) != expect:
             raise ValueError(
-                f"line {numbered[idx]}: expected {expect} entries, got {len(parts)}"
+                f"line {lineno}: expected {expect} entries, got {len(parts)}"
             )
         try:
             return [float(v) for v in parts]
         except ValueError:
-            raise ValueError(f"line {numbered[idx]}: malformed number") from None
+            raise ValueError(f"line {lineno}: malformed number") from None
 
     initial = Pmf(parse_row(1, k))
     transitions = [parse_row(2 + i, k) for i in range(k)]

@@ -24,7 +24,6 @@ from taskcodes import (
     lower_bound,
     markov_joint,
     markov_renyi_sum,
-    mismatched_block_experiment,
     moment,
     product_additivity_check,
     renyi_entropy,
@@ -233,18 +232,18 @@ def test_criterion_9_mismatch_penalty():
         p, q = Pmf([0.5, 0.5]), Pmf([0.9, 0.1])
         # moment < mismatch bound at every feasible n <= 16
         for n in range(2, 17):
-            rep = mismatched_block_experiment(p, q, "1.6", 1.0, n)
+            rep = block_experiment(iid_joint(p, n), "1.6", 1.0, design=iid_joint(q, n))
             if not rep.moment < rep.upper:
                 return False
         # R = 1.6 above H + Delta = 1.41504: mismatched moments shrink
-        mis = [mismatched_block_experiment(p, q, "1.6", 1.0, n).moment
+        mis = [block_experiment(iid_joint(p, n), "1.6", 1.0, design=iid_joint(q, n)).moment
                for n in (8, 12, 16)]
         if not (mis[0] > mis[1] > mis[2]) or mis[2] >= 2.0:
             return False
         # H = 1 < R = 1.2 < H + Delta: matched converges, mismatched bound stuck
         for n in (8, 12, 16):
             matched = block_experiment(iid_joint(p, n), "1.2", 1.0)
-            mis_rep = mismatched_block_experiment(p, q, "1.2", 1.0, n)
+            mis_rep = block_experiment(iid_joint(p, n), "1.2", 1.0, design=iid_joint(q, n))
             if matched.moment >= 1.5 or mis_rep.upper <= 2.0:
                 return False
         return True

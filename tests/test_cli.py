@@ -23,6 +23,22 @@ def files(tmp_path):
     return paths
 
 
+# `taskcodes sweep --pmf fair.pmf --q bern.pmf --rate 1.6 --rho 1 --n 4..16
+# --step 4`, the README example, as it printed before the mismatched sweep
+# moved from `mismatch --rate` to `sweep --q`
+README_MISMATCHED_SWEEP = (
+    "n,R,rho,M,N,moment,lower,upper,m_tilde,delta,q_id,delta_bits\n"
+    "4,1.6,1,84,13,1.5,0.190476190476,3.59322570434,19.5,0.528649445284,"
+    "bern.pmf,0.415037499279\n"
+    "8,1.6,1,7131,230,1.3984375,0.0358995933249,2.43637839364,1780.25,"
+    "0.250266982833,bern.pmf,0.415037499279\n"
+    "12,1.6,1,602248,3882,1.22119140625,0.00680118489393,1.85885432696,"
+    "150558.5,0.166669613812,bern.pmf,0.415037499279\n"
+    "16,1.6,1,50859008,63714,1.14346313477,0.00128858195583,1.51427093062,"
+    "12714747.5,0.125000032732,bern.pmf,0.415037499279\n"
+)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -243,7 +259,7 @@ class TestMismatch:
         assert out.splitlines()[1].split(",")[1] == "inf"
 
     def test_mismatched_sweep(self, capsys, files):
-        code, out = run(capsys, ["mismatch", "--pmf", str(files["fair"]),
+        code, out = run(capsys, ["sweep", "--pmf", str(files["fair"]),
                                  "--q", str(files["bern01"]), "--rate", "1.6",
                                  "--rho", "1", "--n", "4..8", "--step", "4"])
         assert code == 0
@@ -251,6 +267,48 @@ class TestMismatch:
         assert header.endswith("q_id,delta_bits")
         last = out.splitlines()[-1].split(",")
         assert float(last[-1]) == pytest.approx(math.log2(4 / 3), abs=1e-9)
+
+    def test_readme_mismatched_sweep_bytes(self, capsys, files, monkeypatch):
+        monkeypatch.chdir(files["tmp"])
+        (files["tmp"] / "bern.pmf").write_text("0.9\n0.1\n")
+        code, out = run(capsys, ["sweep", "--pmf", "fair.pmf", "--q", "bern.pmf",
+                                 "--rate", "1.6", "--rho", "1", "--n", "4..16",
+                                 "--step", "4"])
+        assert code == 0
+        assert out == README_MISMATCHED_SWEEP
+
+    @pytest.mark.parametrize("q,rho,cap,expected", [
+        ("uniform4", "0", None, 2),    # the rho check comes before the alphabets
+        ("uniform4", "1", None, 1),    # alphabet sizes differ
+        ("bern01", "1", "64", 3),      # 2^8 tuples over the cap
+    ])
+    def test_mismatched_sweep_exit_codes(self, capsys, files, q, rho, cap, expected):
+        argv = ["sweep", "--pmf", str(files["fair"]), "--q", str(files[q]),
+                "--rate", "1.6", "--rho", rho, "--n", "8..8"]
+        code, _ = run_error(capsys, argv + (["--cap", cap] if cap else []))
+        assert code == expected
+
+    def test_mismatched_sweep_needs_pmf(self, capsys, files):
+        code, err = run_error(capsys, ["sweep", "--markov", str(files["markov"]),
+                                       "--q", str(files["bern01"]), "--rate", "1.6",
+                                       "--rho", "1", "--n", "4..4"])
+        assert code == 1
+        assert "need --pmf, not --markov" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["mismatch", "--pmf", "fair", "--q", "bern01", "--rate", "1.6", "--rho", "1",
+         "--n", "4..8"],
+        ["sweep", "--pmf", "bern01", "--rate", "0.9", "--rho", "1", "--n", "4..4",
+         "--seed", "3"],
+        ["mismatch", "--pmf", "fair", "--q", "bern01", "--alpha", "0.5", "--seed", "3"],
+        ["entropy", "--pmf", "bern01", "--alpha", "0.5", "--cap", "5"],
+    ])
+    def test_removed_flags_usage_error(self, capsys, files, argv):
+        code = main([str(files[a]) if a in files else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_output_file(self, capsys, files):
         out_path = files["tmp"] / "table.csv"

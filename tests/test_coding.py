@@ -198,6 +198,41 @@ class TestFloorPow2:
     def test_small(self):
         assert floor_pow2(Fraction(1, 2)) == 1
 
+    def test_exact_certificate(self):
+        # m = floor(2^(a/q)) iff m^q <= 2^a < (m+1)^q, in exact integers
+        r = rng(97, 0)
+        for _ in range(1200):
+            q = r.randint(2, 1000)
+            e = Fraction(r.randint(0, (60 if r.random() < 0.9 else 1022) * q), q)
+            m = floor_pow2(e)
+            assert m ** e.denominator <= 2 ** e.numerator < (m + 1) ** e.denominator
+
+    @pytest.mark.parametrize("exponent,expected", [
+        (Fraction(1234567, 10**6), 2),
+        (Fraction(14, 10**6), 1),
+        (Fraction(1, 10**12), 1),
+        (Fraction(9876543210123, 10**12), 940),
+        (Fraction(500000001, 10**6), int(
+            "32733928768383989600027108351863717181895179103535726984368151376069"
+            "56374134258175127193331167802152824229387334131850865701695055180290"
+            "328525337941869")),
+        (Fraction(1022999999, 10**6), int(
+            "89884594439840990969404991663114036215951100168347742231426153635727"
+            "67175925701847478317243433675725764910689997221987152440719429917749"
+            "90253902765295778528533118036134781095067679092442065135213287363460"
+            "58782417373516909749736569959751316996415129216627937543650623425603"
+            "799989021868294111485435253298097744")),
+        (Fraction(1022999999999999, 10**12), int(
+            "89884656743053492090068191942210884213887606485885982216542972351359"
+            "78964033405776522755791356511095383253173126651542433803330616262733"
+            "15097295335594739699560277276311961894910036782376169751681402515933"
+            "04363892022571409501634234092071760882345193052878323795737284007160"
+            "379897822521734284880788083721704935")),
+    ])
+    def test_six_and_twelve_decimal_rates(self, exponent, expected):
+        # pinned from the earlier arbitrary-precision (mpmath) implementation
+        assert floor_pow2(exponent) == expected
+
 
 class TestBlockExperiment:
     def test_rate_above_entropy_trend(self):

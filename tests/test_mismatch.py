@@ -9,7 +9,6 @@ from taskcodes import (
     divergence_limits,
     iid_joint,
     kl_divergence,
-    mismatched_block_experiment,
     mismatched_bound,
     moment,
     product_additivity_check,
@@ -166,15 +165,16 @@ class TestMismatchedBound:
 class TestMismatchedBlockExperiment:
     def test_matched_equals_plain_experiment(self):
         p = Q_SKEW
-        rep_mis = mismatched_block_experiment(p, p, "0.9", 1.0, 8)
+        rep_mis = block_experiment(iid_joint(p, 8), "0.9", 1.0, design=iid_joint(p, 8))
         rep = block_experiment(iid_joint(p, 8), "0.9", 1.0)
         assert rep_mis.moment == pytest.approx(rep.moment, rel=1e-12)
         assert rep_mis.upper == pytest.approx(rep.upper, rel=1e-12)
-        assert rep_mis.mismatch_bits == pytest.approx(0.0, abs=1e-12)
+        assert sundaresan_divergence(p, p, 0.5).bits == pytest.approx(0.0, abs=1e-12)
 
     def test_rate_above_penalized_entropy(self):
         # R = 1.6 > H + Delta = 1 + log2(4/3)
-        moments = [mismatched_block_experiment(P_FAIR, Q_SKEW, "1.6", 1.0, n).moment
+        moments = [block_experiment(iid_joint(P_FAIR, n), "1.6", 1.0,
+                                    design=iid_joint(Q_SKEW, n)).moment
                    for n in (8, 12, 16)]
         assert moments[0] > moments[1] > moments[2]
         assert moments[-1] < 2.0
@@ -183,7 +183,9 @@ class TestMismatchedBlockExperiment:
         # H < R = 1.2 < H + Delta: matched converges, mismatched bound does not
         for n in (8, 12):
             matched = block_experiment(iid_joint(P_FAIR, n), "1.2", 1.0)
-            mis = mismatched_block_experiment(P_FAIR, Q_SKEW, "1.2", 1.0, n)
+            mis = block_experiment(iid_joint(P_FAIR, n), "1.2", 1.0,
+                                   design=iid_joint(Q_SKEW, n))
             assert matched.moment < 1.5
             assert mis.upper > 2.0
-            assert mis.mismatch_bits == pytest.approx(DELTA_HALF, abs=1e-12)
+            assert sundaresan_divergence(P_FAIR, Q_SKEW, 0.5).bits == pytest.approx(
+                DELTA_HALF, abs=1e-12)
