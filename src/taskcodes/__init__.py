@@ -22,6 +22,7 @@ from .probability import (
     log2sumexp,
     markov_joint,
     markov_renyi_sum,
+    markov_renyi_sums,
     read_markov_text,
     read_pmf_text,
     renyi_entropy,

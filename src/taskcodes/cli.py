@@ -26,12 +26,12 @@ from .partitions import LambdaBudget, Partition, build_partition, kraft_sum
 from .probability import (
     DEFAULT_TUPLE_CAP,
     _check_alphabets,
-    _check_rho,
     _data_lines,
+    _rho_order,
     iid_joint,
     kl_divergence,
     markov_joint,
-    markov_renyi_sum,
+    markov_renyi_sums,
     read_markov_text,
     read_pmf_text,
     renyi_entropy,
@@ -57,20 +57,23 @@ class UsageError(Exception):
     pass
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failures are UsageErrors: main prints them as
+    one error line, with no usage block."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _load(path: str, parse):
-    """parse(text of the file at path), with its ValueError as a UsageError
-    that names the file."""
+    """parse(text of the file at path), with a read failure or its
+    ValueError as a UsageError that names the file."""
     try:
-        return parse(_read(path))
-    except ValueError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # a parse error, or text that is not UTF-8
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -87,52 +90,66 @@ def _read_budgets(text: str) -> LambdaBudget:
     return LambdaBudget(values)
 
 
-def _positive(name: str, value: int) -> int:
-    if value < 1:
-        raise UsageError(f"{name} must be a positive integer, got {value}")
-    return value
+# argparse types.  A UsageError passes through argparse unchanged (it only
+# rewords ValueError, TypeError and ArgumentTypeError), so these messages
+# reach stderr word for word.
+
+def _positive(name: str):
+    """The type of a positive integer setting called name."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise UsageError(f"{name} must be a positive integer, got {text!r}")
+        return value
+    return parse
 
 
-def _parse_range(spec: str, step: int) -> list[int]:
-    _positive("--step", step)
+def _rate(text: str):
     try:
-        lo_s, hi_s = spec.split("..")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise UsageError(f"bad n-range {spec!r}; expected A..B") from None
-    ns = list(range(lo, hi + 1, step))
-    if not ns or any(n < 1 for n in ns):
-        raise UsageError(f"n-range {spec!r} is empty or not positive")
-    return ns
+        return as_rate(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad rate {text!r}; expected a decimal or a fraction") from None
 
 
-def _parse_alphas(spec: str) -> list[float]:
+def _floats(spec: str) -> list[float]:
     try:
         return [float(v) for v in spec.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"bad alpha list {spec!r}") from None
 
 
+def _n_range(spec: str) -> range:
+    """A..B as the block lengths A, A+1, ..., B (--step slices it)."""
+    try:
+        lo_s, hi_s = spec.split("..")
+        ns = range(int(lo_s), int(hi_s) + 1)
+    except ValueError:
+        raise UsageError(f"bad n-range {spec!r}; expected A..B") from None
+    if not ns or ns[0] < 1:
+        raise UsageError(f"n-range {spec!r} is empty or not positive")
+    return ns
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     payload = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from None
 
 
 def _cap(args) -> int:
-    if args.cap is not None:
-        return _positive("--cap", args.cap)
     env = os.environ.get("TASKCODES_CAP")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError(f"TASKCODES_CAP={env!r} is not an integer") from None
-        return _positive("TASKCODES_CAP", cap)
-    return DEFAULT_TUPLE_CAP
+    if args.cap is None and env:
+        return _positive("TASKCODES_CAP")(env)
+    return args.cap or DEFAULT_TUPLE_CAP
 
 
 def cmd_entropy(args) -> None:
@@ -141,24 +158,23 @@ def cmd_entropy(args) -> None:
         p = _load(args.pmf, read_pmf_text)
         if args.rho is not None:
             lines.append("rho,entropy_bits")
-            for rho in _parse_alphas(args.rho):
+            for rho in args.rho:
                 lines.append(f"{fmt(rho)},{fmt(renyi_rho(p, rho))}")
         else:
             if args.alpha is None:
                 raise UsageError("entropy --pmf needs --alpha or --rho")
             lines.append("alpha,entropy_bits")
-            for alpha in _parse_alphas(args.alpha):
+            for alpha in args.alpha:
                 lines.append(f"{fmt(alpha)},{fmt(renyi_entropy(p, alpha))}")
     elif args.markov:
         src = _load(args.markov, read_markov_text)
         if args.alpha is None or args.n is None:
             raise UsageError("entropy --markov needs --alpha and --n")
-        alphas = _parse_alphas(args.alpha)
-        if len(alphas) != 1:
+        if len(args.alpha) != 1:
             raise UsageError("entropy --markov takes a single --alpha")
+        ns = args.n[::args.step]
         lines.append("n,entropy_rate_bits")
-        for n in _parse_range(args.n, args.step):
-            h = markov_renyi_sum(src, alphas[0], n)
+        for n, h in zip(ns, markov_renyi_sums(src, args.alpha[0], ns)):
             lines.append(f"{n},{fmt(h / n)}")
     else:
         raise UsageError("entropy needs --pmf or --markov")
@@ -198,8 +214,6 @@ def cmd_construct(args) -> None:
 
 
 def cmd_moment(args) -> None:
-    if not args.pmf or args.rho is None:
-        raise UsageError("moment needs --pmf and --rho")
     p = _load(args.pmf, read_pmf_text)
     part = _load(args.partition, Partition.from_text)
     enc = TaskEncoder(description_count=part.num_blocks, partition=part)
@@ -207,45 +221,37 @@ def cmd_moment(args) -> None:
 
 
 def cmd_oracle(args) -> None:
-    if not args.pmf or args.M is None or args.rho is None:
-        raise UsageError("oracle needs --pmf, --M and --rho")
     p = _load(args.pmf, read_pmf_text)
-    value, part = brute_force_optimum(p, _positive("--M", args.M), args.rho)
+    value, part = brute_force_optimum(p, args.M, args.rho)
     lines = [fmt(value)]
     lines.extend(part.to_text().rstrip("\n").split("\n"))
     _emit(lines, args.out)
 
 
 def cmd_sweep(args) -> None:
-    if args.rate is None or args.rho is None or args.n is None:
-        raise UsageError("sweep needs --rate, --rho and --n")
-    try:
-        rate = as_rate(args.rate)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rate {args.rate!r}; expected a decimal or a fraction") from None
     cap = _cap(args)
-    ns = _parse_range(args.n, args.step)
+    ns = args.n[::args.step]
     lines = [MomentReport.CSV_HEADER]
     suffix = ""
     if args.markov:
         if args.q:
             raise UsageError("mismatched sweeps need --pmf, not --markov")
         src = _load(args.markov, read_markov_text)
-        rows = [block_experiment(markov_joint(src, n, cap), rate, args.rho) for n in ns]
+        rows = [block_experiment(markov_joint(src, n, cap), args.rate, args.rho) for n in ns]
     elif args.pmf:
         p = _load(args.pmf, read_pmf_text)
         if args.q:
             q = _load(args.q, read_pmf_text)
             # before any row, so these errors come before the cap's and M's
-            _check_rho(args.rho)
+            alpha = _rho_order(args.rho)
             _check_alphabets(p, q)
-            rows = [block_experiment(iid_joint(p, n, cap), rate, args.rho,
+            rows = [block_experiment(iid_joint(p, n, cap), args.rate, args.rho,
                                      design=iid_joint(q, n, cap)) for n in ns]
             lines[0] += ",q_id,delta_bits"
-            bits = sundaresan_divergence(p, q, 1.0 / (1.0 + args.rho)).bits
+            bits = sundaresan_divergence(p, q, alpha).bits
             suffix = f",{os.path.basename(args.q)},{fmt(bits)}"
         else:
-            rows = [block_experiment(iid_joint(p, n, cap), rate, args.rho) for n in ns]
+            rows = [block_experiment(iid_joint(p, n, cap), args.rate, args.rho) for n in ns]
     else:
         raise UsageError("sweep needs --pmf or --markov")
     lines.extend(report.csv_row() + suffix for report in rows)
@@ -253,11 +259,9 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_mismatch(args) -> None:
-    if not args.pmf or not args.q:
-        raise UsageError("mismatch needs --pmf and --q")
     p = _load(args.pmf, read_pmf_text)
     q = _load(args.q, read_pmf_text)
-    alphas = _parse_alphas(args.alpha) if args.alpha else [0.25, 0.5, 2.0, 4.0]
+    alphas = [0.25, 0.5, 2.0, 4.0] if args.alpha is None else args.alpha
     lines = ["alpha,delta,renyi_div,kl"]
     kl = kl_divergence(p, q)
     for alpha in alphas:
@@ -268,89 +272,80 @@ def cmd_mismatch(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taskcodes",
         description="Task-description codes: constructions, bounds, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, pmf=True, markov=False, q=False, rate=False, M=False,
-               rho=False, alpha=False, nrange=False):
-        if pmf:
-            sp.add_argument("--pmf", help="PMF file: one probability per line")
-        if markov:
-            sp.add_argument("--markov", help="Markov source file")
-        if q:
-            sp.add_argument("--q", help="mismatched design law (PMF file)")
-        if rate:
-            sp.add_argument("--rate", help="rate R in bits/symbol")
-        if M:
-            sp.add_argument("--M", type=int, help="description count M")
-        if rho:
-            sp.add_argument("--rho", type=float, help="moment order rho")
-        if alpha:
-            sp.add_argument("--alpha", help="comma-separated entropy orders")
-        if nrange:
-            sp.add_argument("--n", help="block-length range A..B")
-            sp.add_argument("--step", type=int, default=1, help="range step")
+    def command(name: str, func, help: str):
+        """Add a subcommand with its --out flag; return its add_argument."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
         sp.add_argument("--out", help="output file (default: stdout)")
+        return sp.add_argument
 
-    sp = sub.add_parser("entropy", help="Renyi entropy tables")
-    common(sp, markov=True, alpha=True, nrange=True)
-    sp.add_argument("--rho", help="comma-separated moment orders")
-    sp.set_defaults(func=cmd_entropy)
+    arg = command("entropy", cmd_entropy, "Renyi entropy tables")
+    arg("--pmf", help="PMF file: one probability per line")
+    arg("--markov", help="Markov source file")
+    arg("--alpha", type=_floats, help="comma-separated entropy orders")
+    arg("--rho", type=_floats, help="comma-separated moment orders")
+    arg("--n", type=_n_range, help="block-length range A..B")
+    arg("--step", type=_positive("--step"), default=1, help="range step")
 
-    sp = sub.add_parser("construct", help="build an encoder or a partition")
-    common(sp, M=True, rho=True)
-    sp.add_argument("--budgets", help="budget file: one integer or 'inf' per line")
-    sp.set_defaults(func=cmd_construct)
+    arg = command("construct", cmd_construct, "build an encoder or a partition")
+    arg("--pmf", help="PMF file: one probability per line")
+    arg("--M", type=int, help="description count M")
+    arg("--rho", type=float, help="moment order rho")
+    arg("--budgets", help="budget file: one integer or 'inf' per line")
 
-    sp = sub.add_parser("moment", help="moment of an explicit partition")
-    common(sp, rho=True)
-    sp.add_argument("--partition", required=True, help="partition text file")
-    sp.set_defaults(func=cmd_moment)
+    arg = command("moment", cmd_moment, "moment of an explicit partition")
+    arg("--pmf", required=True, help="PMF file: one probability per line")
+    arg("--rho", type=float, required=True, help="moment order rho")
+    arg("--partition", required=True, help="partition text file")
 
-    sp = sub.add_parser("oracle", help="exhaustive optimum (|X| <= 10)")
-    common(sp, M=True, rho=True)
-    sp.set_defaults(func=cmd_oracle)
+    arg = command("oracle", cmd_oracle, "exhaustive optimum (|X| <= 10)")
+    arg("--pmf", required=True, help="PMF file: one probability per line")
+    arg("--M", type=_positive("--M"), required=True, help="description count M")
+    arg("--rho", type=float, required=True, help="moment order rho")
 
-    sp = sub.add_parser("sweep", help="block-length experiments over n")
-    common(sp, markov=True, q=True, rate=True, rho=True, nrange=True)
-    sp.add_argument("--cap", type=int, default=None,
-                    help="tuple enumeration cap (or env TASKCODES_CAP)")
-    sp.set_defaults(func=cmd_sweep)
+    arg = command("sweep", cmd_sweep, "block-length experiments over n")
+    arg("--pmf", help="PMF file: one probability per line")
+    arg("--markov", help="Markov source file")
+    arg("--q", help="mismatched design law (PMF file)")
+    arg("--rate", type=_rate, required=True, help="rate R in bits/symbol")
+    arg("--rho", type=float, required=True, help="moment order rho")
+    arg("--n", type=_n_range, required=True, help="block-length range A..B")
+    arg("--step", type=_positive("--step"), default=1, help="range step")
+    arg("--cap", type=_positive("--cap"), help="tuple enumeration cap (or env TASKCODES_CAP)")
 
-    sp = sub.add_parser("mismatch", help="divergence tables (mismatched sweeps: "
-                                         "sweep --q)")
-    common(sp, q=True, alpha=True)
-    sp.set_defaults(func=cmd_mismatch)
+    arg = command("mismatch", cmd_mismatch, "divergence tables (mismatched sweeps: sweep --q)")
+    arg("--pmf", required=True, help="PMF file: one probability per line")
+    arg("--q", required=True, help="mismatched design law (PMF file)")
+    # an empty --alpha, like none, asks for the default orders
+    arg("--alpha", type=lambda spec: _floats(spec) if spec else None,
+        help="comma-separated entropy orders")
 
     return parser
 
 
+# exit codes of the package's errors; the others, and usage errors, exit 1
+_EXIT_CODES = {DescriptionCountTooSmallError: 2, RateTooSmallError: 2,
+               InvalidOrderError: 2, CapExceededError: 3}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DescriptionCountTooSmallError, RateTooSmallError, InvalidOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except SystemExit:  # --help; every other parser failure is a UsageError
+        return 0
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
-    except CapExceededError as exc:
+    except (UsageError, TaskCodesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TaskCodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES.get(type(exc), 1)
     return 0
 
 

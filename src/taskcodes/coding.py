@@ -30,6 +30,7 @@ from .probability import (
     _check_alphabets,
     _check_rho,
     _delta_bits,
+    _rho_order,
     renyi_rho,
 )
 
@@ -105,9 +106,8 @@ def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
     """Budgets ceil(beta * P(x)^(-1/(1+rho))) (inf on zero mass), with beta
     chosen just large enough that the greedy builder fits in M blocks:
     beta = 2 * sum_x P(x)^(1/(1+rho)) / (M - log2|X| - 2)."""
-    _check_rho(rho)
+    rt = _rho_order(rho)
     threshold = _check_m(m, p.size)
-    rt = 1.0 / (1.0 + rho)
     supp = p.masses > 0.0
     beta = 2.0 * math.fsum(p.masses[supp] ** rt) / (m - threshold)
     # One scalar power per distinct mass, never np.power on the array: the
@@ -137,8 +137,15 @@ def moment(p: Pmf, enc: TaskEncoder, rho: float) -> float:
             f"{enc.partition.ground_size}"
         )
     part = enc.partition
-    sizes = part.sizes[part.labels].astype(float)
-    return math.fsum(p.masses * sizes ** rho)
+    # one power per block; past the float range it is inf, and a zero
+    # mass's term 0 * inf (nan) is then set to 0 * L^rho = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = part.sizes.astype(float) ** rho
+        terms = powers[part.labels]
+        terms *= p.masses
+    if math.isinf(powers.max()):
+        terms[p.masses == 0.0] = 0.0
+    return math.fsum(terms)
 
 
 def _exp2(exponent: float) -> float:
@@ -317,7 +324,7 @@ def block_experiment(law: JointLaw, rate, rho: float,
     delta = R - log2(Mtilde)/n is the finite-n slack between the upper
     bound's exponent and the rate; it vanishes as n grows.
     """
-    _check_rho(rho)
+    alpha = _rho_order(rho)
     if design is not None:
         _check_alphabets(law, design)
     rate_fr = as_rate(rate)
@@ -330,7 +337,7 @@ def block_experiment(law: JointLaw, rate, rho: float,
         # one 2^n-entry PMF at a time: the design's is dropped before the
         # law's is built, which keeps the peak memory of a row down
         enc = build_encoder(design.as_pmf(), rho, m)
-        penalty = _delta_bits(law.log_masses, design.log_masses, 1.0 / (1.0 + rho))
+        penalty = _delta_bits(law.log_masses, design.log_masses, alpha)
         p = law.as_pmf()
     mt = m_tilde(m, p.size)
     h = renyi_rho(p, rho)

@@ -26,8 +26,8 @@ from .probability import (
     Pmf,
     _check_alpha,
     _check_alphabets,
-    _check_rho,
     _delta_bits,
+    _rho_order,
     iid_joint,
     kl_divergence,
     log2sumexp,
@@ -130,8 +130,8 @@ def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEnc
     The bound is +inf (valid but vacuous) when supp(p) is not contained in
     supp(q).
     """
-    _check_rho(rho)
+    alpha = _rho_order(rho)
     _check_alphabets(p, q)
     enc = build_encoder(q, rho, m)
-    delta = _delta_bits(p.log_masses, q.log_masses, 1.0 / (1.0 + rho))
+    delta = _delta_bits(p.log_masses, q.log_masses, alpha)
     return _upper(renyi_rho(p, rho) + delta, m_tilde(m, p.size), rho), enc

@@ -56,13 +56,25 @@ def _log2sumexp_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or alpha == 1.0:
-        raise InvalidOrderError(f"order alpha must be positive and != 1, got {alpha}")
+    if not (0.0 < alpha < math.inf) or alpha == 1.0:
+        raise InvalidOrderError(f"order alpha must be positive, finite and != 1, got {alpha}")
 
 
 def _check_rho(rho: float) -> None:
     if not (rho > 0.0):
         raise InvalidOrderError(f"rho must be positive, got {rho}")
+
+
+def _rho_order(rho: float) -> float:
+    """The Renyi order alpha = 1/(1+rho) that governs the rho-th moment.
+
+    rho = inf (alpha 0) and a rho so small that alpha rounds to 1 have no
+    Renyi order; the error names rho, not the alpha it would give."""
+    _check_rho(rho)
+    alpha = 1.0 / (1.0 + rho)
+    if math.isinf(rho) or alpha == 1.0:
+        raise InvalidOrderError(f"rho must be finite and give an order 1/(1+rho) != 1, got {rho}")
+    return alpha
 
 
 def _check_alphabets(p, q) -> None:
@@ -179,9 +191,11 @@ class JointLaw:
         return Pmf(np.exp2(self.log_masses))
 
 
-def _check_cap(tuples: int, cap: int) -> None:
-    if tuples > cap:
-        raise CapExceededError(f"enumeration of {tuples} tuples exceeds cap {cap}")
+def _check_cap(base: int, n: int, cap: int) -> None:
+    # base^n is only built below 2^(bits of cap): past that it is over the
+    # cap anyway, and at n = 10^9 its bits alone take 125 MB
+    if base > 1 and n >= cap.bit_length() or base ** n > cap:
+        raise CapExceededError(f"enumeration of {base}^{n} tuples exceeds cap {cap}")
 
 
 def renyi_entropy(dist, alpha: float) -> float:
@@ -196,15 +210,14 @@ def renyi_entropy(dist, alpha: float) -> float:
 def renyi_rho(dist, rho: float) -> float:
     """Renyi entropy of order 1/(1+rho), the order governing the rho-th
     moment of the number of performed tasks."""
-    _check_rho(rho)
-    return renyi_entropy(dist, 1.0 / (1.0 + rho))
+    return renyi_entropy(dist, _rho_order(rho))
 
 
 def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> JointLaw:
     """The n-fold product law of p."""
     if n < 1:
         raise ValueError("block length must be positive")
-    _check_cap(p.size ** n, cap)
+    _check_cap(p.size, n, cap)
     acc = p.log_masses.copy()
     for _ in range(n - 1):
         acc = (acc[:, None] + p.log_masses[None, :]).ravel()
@@ -216,7 +229,7 @@ def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Joi
     if n < 1:
         raise ValueError("block length must be positive")
     base = src.num_states
-    _check_cap(base ** n, cap)
+    _check_cap(base, n, cap)
     with np.errstate(divide="ignore"):
         log_t = np.log2(src.transitions)
     acc = src.initial.log_masses.copy()
@@ -227,8 +240,15 @@ def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Joi
 
 
 def markov_renyi_sum(src: MarkovSource, alpha: float, n: int) -> float:
-    """H_alpha(X^n) for a Markov chain, by the O(n * states^2) vector
-    recursion v1(x) = initial(x)^alpha, v_{k+1}(x') = sum_x v_k(x) T(x,x')^alpha.
+    """H_alpha(X^n) for a Markov chain (see markov_renyi_sums)."""
+    return markov_renyi_sums(src, alpha, [n])[0]
+
+
+def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
+    """H_alpha(X^n) for a Markov chain at each n of ns, a positive and
+    nondecreasing sequence, from one pass of the O(n * states^2) vector
+    recursion v1(x) = initial(x)^alpha, v_{k+1}(x') = sum_x v_k(x) T(x,x')^alpha
+    up to the last n.
 
     Runs entirely in the log domain, so large n cannot underflow.  Each time
     step is one array step: row x' of step_t + lv holds log2 of the terms
@@ -236,16 +256,21 @@ def markov_renyi_sum(src: MarkovSource, alpha: float, n: int) -> float:
     the same bits as a log2sumexp call per target state.
     """
     _check_alpha(alpha)
-    if n < 1:
-        raise ValueError("block length must be positive")
+    out = []
+    k = 1
     # divide: log2 of a zero transition; invalid: a row of -inf only
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t = np.log2(src.transitions)
         lv = alpha * src.initial.log_masses
         step_t = np.ascontiguousarray((alpha * log_t).T)
-        for _ in range(n - 1):
-            lv = _log2sumexp_rows(step_t + lv)
-    return log2sumexp(lv) / (1.0 - alpha)
+        for n in ns:
+            if n < k:
+                raise ValueError("block lengths must be positive and nondecreasing")
+            for _ in range(n - k):
+                lv = _log2sumexp_rows(step_t + lv)
+            k = n
+            out.append(log2sumexp(lv) / (1.0 - alpha))
+    return out
 
 
 def kl_divergence(p: Pmf, q: Pmf) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -317,3 +318,91 @@ class TestMismatch:
                      "--out", str(out_path)])
         assert code == 0
         assert out_path.read_text().endswith("\n")
+
+
+def fill(files, argv):
+    return [str(files[a]) if a in files else a for a in argv]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["construct", "--pmf", "uniform4", "--M", "abc", "--rho", "1"], "invalid int value"),
+        (["sweep", "--pmf", "bern01", "--rate", "0.9", "--rho", "1", "--n", "4..4",
+          "--cap", "x"], "--cap must be a positive integer"),
+        (["moment", "--pmf", "uniform4", "--rho", "1"], "required: --partition"),
+        (["mismatch", "--pmf", "fair", "--q", "bern01", "--alpha"], "expected one argument"),
+        (["frobnicate"], "invalid choice"),
+    ])
+    def test_parser_failure_is_one_error_line(self, capsys, files, argv, message):
+        code, err = run_error(capsys, fill(files, argv))
+        assert code == 1
+        assert message in err
+
+    @pytest.mark.parametrize("extra", [["--n", "x"], ["--step", "0"]])
+    def test_range_flags_are_checked_where_ignored(self, capsys, files, extra):
+        code, _ = run_error(capsys, fill(files, ["entropy", "--pmf", "bern01", "--alpha",
+                                                 "0.5", *extra]))
+        assert code == 1
+
+    def test_unwritable_out_file(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["mismatch", "--pmf", "fair", "--q", "fair",
+                                                   "--out", str(files["tmp"])]))
+        assert code == 1
+        assert "cannot write" in err
+
+
+class TestOrders:
+    def test_infinite_alpha_exit_2(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["entropy", "--pmf", "bern01",
+                                                   "--alpha", "inf"]))
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("q", ["bern01", "uniform4"])
+    def test_infinite_rho_in_a_mismatched_sweep(self, capsys, files, q):
+        # a rho error, before the alphabets are compared and before any row
+        code, err = run_error(capsys, fill(files, ["sweep", "--pmf", "fair", "--q", q,
+                                                   "--rate", "1.6", "--rho", "inf",
+                                                   "--n", "3..3"]))
+        assert code == 2
+        assert err.startswith("error: rho must be finite")
+
+    def test_moment_past_the_float_range(self, capsys, files):
+        point = files["tmp"] / "point.pmf"
+        point.write_text("1\n0\n")
+        part = files["tmp"] / "one.part"
+        part.write_text("0 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["moment", "--pmf", str(point), "--partition", str(part),
+                                     "--rho", "1e300"])
+        assert (code, out) == (0, "inf\n")
+
+    def test_sweep_at_a_huge_rho_warns_nothing(self, capsys, files):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, fill(files, ["sweep", "--pmf", "bern01", "--rate", "0.9",
+                                                 "--rho", "1e300", "--n", "4..5"]))
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
+    def test_empty_alpha_list_gives_the_default_orders(self, capsys, files):
+        code, out = run(capsys, fill(files, ["mismatch", "--pmf", "fair", "--q", "bern01",
+                                             "--alpha", ""]))
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.25", "0.5", "2", "4"]
+
+    def test_markov_rows_with_a_step(self, capsys, files):
+        argv = ["entropy", "--markov", "markov", "--alpha", "0.5"]
+        _, out = run(capsys, fill(files, argv + ["--n", "2..10", "--step", "4"]))
+        singles = [run(capsys, fill(files, argv + ["--n", f"{n}..{n}"]))[1].splitlines()[1]
+                   for n in (2, 6, 10)]
+        assert out.splitlines()[1:] == singles
+
+
+class TestHugeBlockLengths:
+    def test_cap_refusal_is_one_error_line(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["sweep", "--pmf", "bern01", "--rate", "0.9",
+                                                   "--rho", "1", "--n", "20000..20000"]))
+        assert code == 3
+        assert "2^20000 tuples" in err

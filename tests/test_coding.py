@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from taskcodes import (
     AlphabetMismatchError,
     AlphabetTooLargeError,
     DescriptionCountTooSmallError,
+    InvalidOrderError,
     Partition,
     Pmf,
     RateTooSmallError,
@@ -18,6 +20,7 @@ from taskcodes import (
     iid_joint,
     lambda_from_law,
     lower_bound,
+    mismatched_bound,
     moment,
     renyi_rho,
     upper_bound,
@@ -98,6 +101,18 @@ class TestMoment:
         enc = TaskEncoder(1, Partition([[0, 1]]))
         with pytest.raises(AlphabetMismatchError):
             moment(Pmf([0.5, 0.25, 0.25]), enc, 1.0)
+
+    @pytest.mark.parametrize("rho", [1e300, math.inf])
+    def test_power_past_the_float_range(self, rho):
+        # 1 * 2^rho is inf; the zero mass adds 0 * 2^rho = 0, not nan
+        enc = TaskEncoder(1, Partition([[0, 1]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert moment(Pmf([1.0, 0.0]), enc, rho) == math.inf
+
+    def test_zero_mass_in_an_overflowing_block(self):
+        enc = TaskEncoder(2, Partition([[0], [1, 2]]))
+        assert moment(Pmf([1.0, 0.0, 0.0]), enc, 1e300) == 1.0
 
 
 class TestBounds:
@@ -290,3 +305,20 @@ class TestBlockExperiment:
     def test_description_count_beyond_float_range(self, rate):
         with pytest.raises(OverflowError, match="exceeds the float range"):
             block_experiment(iid_joint(Pmf([0.5, 0.5]), 4), rate, 1.0)
+
+
+@pytest.mark.parametrize("rho", [math.inf, 1e-300])
+def test_rho_without_a_renyi_order(rho):
+    # 1/(1+rho) is 0 or rounds to 1: every user of the order names rho
+    p = Pmf([0.5, 0.3, 0.2])
+    law = iid_joint(p, 2)
+    calls = [
+        lambda: renyi_rho(p, rho),
+        lambda: lambda_from_law(p, rho, 8),
+        lambda: block_experiment(law, "1.4", rho),
+        lambda: block_experiment(law, "1.4", rho, design=law),
+        lambda: mismatched_bound(p, p, 8, rho),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidOrderError, match="rho must be finite"):
+            call()

@@ -18,6 +18,7 @@ from taskcodes import (
     brute_force_optimum,
     log2sumexp,
     markov_renyi_sum,
+    markov_renyi_sums,
 )
 from taskcodes.probability import _log2sumexp_rows
 
@@ -143,6 +144,17 @@ class TestMarkovRenyiSum:
 
         src = chain(row(), [row() for _ in range(64)])
         assert markov_renyi_sum(src, alpha, 60) == markov_renyi_sum_reference(src, alpha, 60)
+
+    # sorted lists repeat some n, and start above 1 or at it
+    @given(chains(), ALPHAS, st.lists(st.integers(1, 30), min_size=1, max_size=6).map(sorted))
+    @example(chain([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]]), 0.5, list(range(1, 31)))
+    def test_one_pass_rows_match_separate_calls(self, src, alpha, ns):
+        assert markov_renyi_sums(src, alpha, ns) == [markov_renyi_sum(src, alpha, n) for n in ns]
+
+    @pytest.mark.parametrize("ns", [[0], [2, 1], [3, 5, 4]])
+    def test_one_pass_needs_positive_nondecreasing_ns(self, ns):
+        with pytest.raises(ValueError, match="positive and nondecreasing"):
+            markov_renyi_sums(chain([1.0], [[1.0]]), 0.5, ns)
 
 
 @st.composite

@@ -97,6 +97,32 @@ class TestRenyiRho:
         with pytest.raises(InvalidOrderError):
             renyi_rho(Pmf([0.5, 0.5]), 0.0)
 
+    def test_huge_finite_rho(self):
+        # order 1e-300: next to the order-0 limit, log2 of the support size
+        assert renyi_rho(Pmf([0.5, 0.25, 0.25, 0.0]), 1e300) == pytest.approx(math.log2(3))
+
+    def test_infinite_order(self):
+        with pytest.raises(InvalidOrderError, match="finite"):
+            renyi_entropy(Pmf([0.9, 0.1]), math.inf)
+        with pytest.raises(InvalidOrderError, match="finite"):
+            markov_renyi_sum(MarkovSource(Pmf([1.0]), np.eye(1)), math.inf, 3)
+
+
+@pytest.mark.parametrize("n", [23, 20000, 10**7])
+def test_cap_refuses_without_building_the_tuple_count(n):
+    # 2^20000 has more digits than Python converts to text
+    with pytest.raises(CapExceededError, match=f"2\\^{n} tuples exceeds cap 4194304"):
+        iid_joint(Pmf([0.5, 0.5]), n)
+    with pytest.raises(CapExceededError):
+        markov_joint(MarkovSource(Pmf([0.5, 0.5]), np.full((2, 2), 0.5)), n)
+
+
+def test_cap_edges():
+    assert iid_joint(Pmf([0.5, 0.5]), 4, cap=16).size == 16
+    assert iid_joint(Pmf([1.0]), 50, cap=1).size == 1
+    with pytest.raises(CapExceededError):
+        iid_joint(Pmf([1 / 3] * 3), 3, cap=26)
+
 
 class TestIidJoint:
     def test_fair_coin_cube(self):
