@@ -14,7 +14,6 @@ from .errors import (
 )
 from .probability import (
     DEFAULT_TUPLE_CAP,
-    JointLaw,
     MarkovSource,
     Pmf,
     iid_joint,

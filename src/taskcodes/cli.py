@@ -25,12 +25,9 @@ from .errors import (
 from .partitions import LambdaBudget, Partition, build_partition, kraft_sum
 from .probability import (
     DEFAULT_TUPLE_CAP,
-    _check_alphabets,
     _data_lines,
     _rho_order,
-    iid_joint,
     kl_divergence,
-    markov_joint,
     markov_renyi_sums,
     read_markov_text,
     read_pmf_text,
@@ -40,15 +37,12 @@ from .probability import (
 from .coding import (
     MomentReport,
     TaskEncoder,
+    _report,
     as_rate,
     block_experiment,
     brute_force_optimum,
-    build_encoder,
     fmt,
-    lower_bound,
-    m_tilde,
     moment,
-    upper_bound,
 )
 from .mismatch import renyi_divergence, sundaresan_divergence
 
@@ -192,23 +186,9 @@ def cmd_construct(args) -> None:
         raise UsageError("construct needs --pmf or --budgets")
     if args.M is None or args.rho is None:
         raise UsageError("construct --pmf needs --M and --rho")
-    p = _load(args.pmf, read_pmf_text)
-    rho = args.rho
-    enc = build_encoder(p, rho, args.M)
+    report, enc = _report(_load(args.pmf, read_pmf_text), args.rho, args.M)
     lines = enc.partition.to_text().rstrip("\n").split("\n")
     lines.append(MomentReport.CSV_HEADER)
-    report = MomentReport(
-        n=1,
-        rate=math.nan,
-        rho=rho,
-        description_count=args.M,
-        used_count=enc.used_count,
-        moment=moment(p, enc, rho),
-        lower=lower_bound(p, args.M, rho),
-        upper=upper_bound(p, args.M, rho),
-        m_tilde=m_tilde(args.M, p.size),
-        delta=math.nan,
-    )
     lines.append(report.csv_row())
     _emit(lines, args.out)
 
@@ -230,30 +210,25 @@ def cmd_oracle(args) -> None:
 
 def cmd_sweep(args) -> None:
     cap = _cap(args)
-    ns = args.n[::args.step]
-    lines = [MomentReport.CSV_HEADER]
-    suffix = ""
+    design = None
     if args.markov:
         if args.q:
             raise UsageError("mismatched sweeps need --pmf, not --markov")
-        src = _load(args.markov, read_markov_text)
-        rows = [block_experiment(markov_joint(src, n, cap), args.rate, args.rho) for n in ns]
+        source = _load(args.markov, read_markov_text)
     elif args.pmf:
-        p = _load(args.pmf, read_pmf_text)
+        source = _load(args.pmf, read_pmf_text)
         if args.q:
-            q = _load(args.q, read_pmf_text)
-            # before any row, so these errors come before the cap's and M's
-            alpha = _rho_order(args.rho)
-            _check_alphabets(p, q)
-            rows = [block_experiment(iid_joint(p, n, cap), args.rate, args.rho,
-                                     design=iid_joint(q, n, cap)) for n in ns]
-            lines[0] += ",q_id,delta_bits"
-            bits = sundaresan_divergence(p, q, alpha).bits
-            suffix = f",{os.path.basename(args.q)},{fmt(bits)}"
-        else:
-            rows = [block_experiment(iid_joint(p, n, cap), args.rate, args.rho) for n in ns]
+            design = _load(args.q, read_pmf_text)
     else:
         raise UsageError("sweep needs --pmf or --markov")
+    rows = [block_experiment(source, n, args.rate, args.rho, design, cap)
+            for n in args.n[::args.step]]
+    lines = [MomentReport.CSV_HEADER]
+    suffix = ""
+    if design is not None:
+        lines[0] += ",q_id,delta_bits"
+        bits = sundaresan_divergence(source, design, _rho_order(args.rho)).bits
+        suffix = f",{os.path.basename(args.q)},{fmt(bits)}"
     lines.extend(report.csv_row() + suffix for report in rows)
     _emit(lines, args.out)
 

@@ -25,12 +25,15 @@ from .errors import (
 )
 from .partitions import LambdaBudget, Partition, build_partition
 from .probability import (
-    JointLaw,
+    DEFAULT_TUPLE_CAP,
+    MarkovSource,
     Pmf,
     _check_alphabets,
     _check_rho,
     _delta_bits,
     _rho_order,
+    iid_joint,
+    markov_joint,
     renyi_rho,
 )
 
@@ -201,6 +204,14 @@ def _grow(masks: np.ndarray, used: np.ndarray, first: int, last: int,
     return masks, used
 
 
+def _block_power(size: int, rho: float) -> float:
+    """size^rho, inf past the float range as in moment."""
+    try:
+        return float(size) ** rho
+    except OverflowError:
+        return math.inf
+
+
 def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
     """Exact minimum of the rho-th moment over all partitions into at most m
     nonempty blocks, by enumerating restricted growth strings over supp(p).
@@ -228,12 +239,12 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
     zeros = [x for x in range(p.size) if x not in set(supp)]
     if zeros and m == 1:
         part = Partition([list(range(p.size))])
-        return math.fsum(p.masses * float(p.size) ** rho), part
+        return math.fsum(p.masses[supp] * _block_power(p.size, rho)), part
 
     s = len(supp)
     limit = min(m - 1 if zeros else m, s)
     masses = p.masses[supp].tolist()
-    powers = [float(c) ** rho for c in range(s + 1)]
+    powers = [_block_power(c, rho) for c in range(s + 1)]
     terms = [math.fsum(masses[i] for i in range(s) if mask >> i & 1)
              * powers[mask.bit_count()] for mask in range(1 << s)]
     table = np.array(terms)
@@ -311,39 +322,23 @@ def _description_count(rate: Fraction, n: int, base: int) -> int:
     return m
 
 
-def block_experiment(law: JointLaw, rate, rho: float,
-                     design: JointLaw | None = None) -> MomentReport:
-    """Build the encoder for an n-tuple law with M = floor(2^(nR))
-    descriptions and report its moment next to both bounds.
+def _report(p: Pmf, rho: float, m: int, design: Pmf | None = None,
+            n: int = 1, rate: float = math.nan) -> tuple[MomentReport, TaskEncoder]:
+    """Build the encoder with m descriptions for `design` (default p) and
+    report its moment under p next to both bounds, from one Renyi entropy.
 
-    With `design`, a law over the same n-tuples, the encoder is built for
-    `design` and its moment taken under `law` (mismatched design); the upper
-    bound then carries Sundaresan's penalty Delta_{1/(1+rho)}(law||design)
-    in its exponent, and is +inf when the divergence is.
-
-    delta = R - log2(Mtilde)/n is the finite-n slack between the upper
-    bound's exponent and the rate; it vanishes as n grows.
+    A mismatched design adds Sundaresan's penalty Delta_{1/(1+rho)}(p||design)
+    to the upper bound's exponent, which is +inf when the divergence is.
+    delta = rate - log2(Mtilde)/n is nan without a rate.
     """
-    alpha = _rho_order(rho)
-    if design is not None:
-        _check_alphabets(law, design)
-    rate_fr = as_rate(rate)
-    m = _description_count(rate_fr, law.n, law.base)
-    if design is None:
-        p = law.as_pmf()
-        enc = build_encoder(p, rho, m)
-        penalty = 0.0
-    else:
-        # one 2^n-entry PMF at a time: the design's is dropped before the
-        # law's is built, which keeps the peak memory of a row down
-        enc = build_encoder(design.as_pmf(), rho, m)
-        penalty = _delta_bits(law.log_masses, design.log_masses, alpha)
-        p = law.as_pmf()
+    enc = build_encoder(p if design is None else design, rho, m)
+    penalty = 0.0 if design is None else _delta_bits(p.log_masses, design.log_masses,
+                                                     _rho_order(rho))
     mt = m_tilde(m, p.size)
     h = renyi_rho(p, rho)
-    return MomentReport(
-        n=law.n,
-        rate=float(rate_fr),
+    report = MomentReport(
+        n=n,
+        rate=rate,
         rho=rho,
         description_count=m,
         used_count=enc.used_count,
@@ -351,5 +346,36 @@ def block_experiment(law: JointLaw, rate, rho: float,
         lower=_lower(h, m, rho),
         upper=_upper(h + penalty, mt, rho),
         m_tilde=mt,
-        delta=float(rate_fr) - math.log2(mt) / law.n,
+        delta=rate - math.log2(mt) / n,
     )
+    return report, enc
+
+
+def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
+                     design: Pmf | None = None,
+                     cap: int = DEFAULT_TUPLE_CAP) -> MomentReport:
+    """Build the encoder for the law of n letters of `source` (i.i.d. letters
+    of a Pmf, or the first n states of a MarkovSource) with M = floor(2^(nR))
+    descriptions, and report its moment next to both bounds.
+
+    With `design`, a Pmf over the same letters, the encoder is built for n
+    i.i.d. letters of `design` and its moment taken under the source's law
+    (mismatched design); the upper bound then carries Sundaresan's penalty
+    Delta_{1/(1+rho)} between the two n-tuple laws in its exponent.
+
+    The inputs are checked in one order: rho, the alphabets, the tuple cap
+    on base^n, then M.  delta = R - log2(Mtilde)/n is the finite-n slack
+    between the upper bound's exponent and the rate; it vanishes as n grows.
+    """
+    _rho_order(rho)
+    if isinstance(source, MarkovSource):
+        letters, joint = source.initial, markov_joint
+    else:
+        letters, joint = source, iid_joint
+    if design is not None:
+        _check_alphabets(letters, design)
+    law = joint(source, n, cap)
+    design_law = None if design is None else iid_joint(design, n, cap)
+    rate_fr = as_rate(rate)
+    m = _description_count(rate_fr, n, letters.size)
+    return _report(law, rho, m, design_law, n, float(rate_fr))[0]

@@ -10,7 +10,7 @@ the penalty is Sundaresan's divergence
 evaluated at alpha = 1/(1+rho).  Conventions 0/0 = 0 and a/0 = +inf apply
 symbol by symbol.  The three factors are computed separately in the log
 domain and only then combined.  Mismatched block experiments are
-taskcodes.coding.block_experiment(law, rate, rho, design=...).
+taskcodes.coding.block_experiment(p, n, rate, rho, design=q).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolationError
-from .coding import TaskEncoder, _upper, build_encoder, m_tilde
+from .coding import TaskEncoder, _report
 from .probability import (
     DEFAULT_TUPLE_CAP,
     Pmf,
@@ -31,7 +31,6 @@ from .probability import (
     iid_joint,
     kl_divergence,
     log2sumexp,
-    renyi_rho,
 )
 
 
@@ -44,9 +43,9 @@ class DivergenceValue:
 def sundaresan_divergence(p, q, alpha: float) -> DivergenceValue:
     """Delta_alpha(p||q) in bits.
 
-    Accepts Pmf or JointLaw arguments.  +inf exactly when (0 < alpha < 1 and
-    supp(p) is not contained in supp(q)) or (alpha > 1 and the supports are
-    disjoint).
+    Accepts any two Pmfs over one alphabet, n-tuple laws included.  +inf
+    exactly when (0 < alpha < 1 and supp(p) is not contained in supp(q)) or
+    (alpha > 1 and the supports are disjoint).
     """
     _check_alpha(alpha)
     _check_alphabets(p, q)
@@ -130,8 +129,7 @@ def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEnc
     The bound is +inf (valid but vacuous) when supp(p) is not contained in
     supp(q).
     """
-    alpha = _rho_order(rho)
+    _rho_order(rho)
     _check_alphabets(p, q)
-    enc = build_encoder(q, rho, m)
-    delta = _delta_bits(p.log_masses, q.log_masses, alpha)
-    return _upper(renyi_rho(p, rho) + delta, m_tilde(m, p.size), rho), enc
+    report, enc = _report(p, rho, m, design=q)
+    return report.upper, enc

@@ -1,8 +1,10 @@
 """Finite probability models and the entropy functionals built on them.
 
 All logarithms are base 2 and all entropies are in bits.  Zero masses are
-represented as -inf in the log domain; products over tuples are accumulated
-as sums of log-masses so that joint laws never underflow.
+represented as -inf in the log domain.  The law of an n-tuple is a Pmf over
+base^n symbols: its log-masses are summed letter by letter and only then
+exponentiated, so a tuple's mass underflows to 0 only when it is below the
+float range.
 """
 from __future__ import annotations
 
@@ -27,11 +29,16 @@ def log2sumexp(log_values: np.ndarray) -> float:
     Entries of -inf contribute nothing; an all--inf input returns -inf.
     """
     arr = np.asarray(log_values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        arr = arr[finite]
+    if arr.size == 0:
         return -math.inf
-    top = float(finite.max())
-    return top + math.log2(float(np.exp2(finite - top).sum()))
+    top = float(arr.max())
+    # one temporary the size of the input: a joint law's can be 32 MB
+    terms = arr - top
+    np.exp2(terms, out=terms)
+    return top + math.log2(float(terms.sum()))
 
 
 def _log2sumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -159,38 +166,6 @@ class MarkovSource:
         return self.initial.size
 
 
-@dataclass(frozen=True)
-class JointLaw:
-    """The law of an n-tuple over a base alphabet, stored as log2-masses.
-
-    Tuple (x1, ..., xn) lives at index x1*base^(n-1) + ... + xn.
-    """
-
-    n: int
-    base: int
-    log_masses: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.base < 1:
-            raise ValueError("block length and base alphabet size must be positive")
-        arr = np.asarray(self.log_masses, dtype=float)
-        if arr.shape != (self.base ** self.n,):
-            raise ValueError("log-mass vector must have base**n entries")
-        total = log2sumexp(arr)
-        if abs(total) > 1e-9:
-            raise ValueError(f"joint masses sum to 2**{total}, expected 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "log_masses", arr)
-
-    @property
-    def size(self) -> int:
-        return int(self.log_masses.size)
-
-    def as_pmf(self) -> Pmf:
-        return Pmf(np.exp2(self.log_masses))
-
-
 def _check_cap(base: int, n: int, cap: int) -> None:
     # base^n is only built below 2^(bits of cap): past that it is over the
     # cap anyway, and at n = 10^9 its bits alone take 125 MB
@@ -201,7 +176,7 @@ def _check_cap(base: int, n: int, cap: int) -> None:
 def renyi_entropy(dist, alpha: float) -> float:
     """Renyi entropy of order alpha in bits: (1/(1-alpha)) * log2 sum p^alpha.
 
-    Accepts any object with a ``log_masses`` attribute (Pmf or JointLaw).
+    Accepts any object with a ``log_masses`` attribute, such as a Pmf.
     """
     _check_alpha(alpha)
     return log2sumexp(alpha * dist.log_masses) / (1.0 - alpha)
@@ -213,30 +188,36 @@ def renyi_rho(dist, rho: float) -> float:
     return renyi_entropy(dist, _rho_order(rho))
 
 
-def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> JointLaw:
-    """The n-fold product law of p."""
+def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
+    """The n-fold product law of p, a Pmf over k^n symbols (k = p.size):
+    tuple (x1, ..., xn) is symbol x1*k^(n-1) + ... + xn."""
     if n < 1:
         raise ValueError("block length must be positive")
     _check_cap(p.size, n, cap)
+    if p.size == 1:
+        return p  # the point mass, at any n
     acc = p.log_masses.copy()
     for _ in range(n - 1):
         acc = (acc[:, None] + p.log_masses[None, :]).ravel()
-    return JointLaw(n=n, base=p.size, log_masses=acc)
+    return Pmf(np.exp2(acc, out=acc))
 
 
-def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> JointLaw:
-    """The joint law of the first n states of a Markov chain."""
+def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
+    """The joint law of the first n states of a Markov chain, a Pmf in the
+    tuple order of iid_joint."""
     if n < 1:
         raise ValueError("block length must be positive")
     base = src.num_states
     _check_cap(base, n, cap)
+    if base == 1:
+        return src.initial  # the point mass, at any n
     with np.errstate(divide="ignore"):
         log_t = np.log2(src.transitions)
     acc = src.initial.log_masses.copy()
     for _ in range(n - 1):
         last = np.arange(acc.size) % base
         acc = (acc[:, None] + log_t[last, :]).ravel()
-    return JointLaw(n=n, base=base, log_masses=acc)
+    return Pmf(np.exp2(acc, out=acc))
 
 
 def markov_renyi_sum(src: MarkovSource, alpha: float, n: int) -> float:

@@ -19,7 +19,6 @@ from taskcodes import (
     build_encoder,
     build_partition,
     divergence_limits,
-    iid_joint,
     kraft_sum,
     lower_bound,
     markov_joint,
@@ -146,12 +145,12 @@ def test_criterion_6_phase_transition():
         if abs(rate_oracle - renyi_rho(p, 1.0)) > 1e-9:
             return False
         # R = 0.9 above the entropy rate: moments shrink toward 1
-        moments = [block_experiment(iid_joint(p, n), "0.9", 1.0).moment
+        moments = [block_experiment(p, n, "0.9", 1.0).moment
                    for n in (8, 12, 16)]
         if not (moments[0] > moments[1] > moments[2]) or moments[2] >= 1.5:
             return False
         # R = 0.4 below: the converse bound blows up like 2^(n*(H - R))
-        low = block_experiment(iid_joint(p, 16), "0.4", 1.0).lower
+        low = block_experiment(p, 16, "0.4", 1.0).lower
         target = 2.0 ** (16 * (rate_oracle - 0.4))
         return target / 2.0 <= low <= target * 2.0
 
@@ -232,18 +231,18 @@ def test_criterion_9_mismatch_penalty():
         p, q = Pmf([0.5, 0.5]), Pmf([0.9, 0.1])
         # moment < mismatch bound at every feasible n <= 16
         for n in range(2, 17):
-            rep = block_experiment(iid_joint(p, n), "1.6", 1.0, design=iid_joint(q, n))
+            rep = block_experiment(p, n, "1.6", 1.0, design=q)
             if not rep.moment < rep.upper:
                 return False
         # R = 1.6 above H + Delta = 1.41504: mismatched moments shrink
-        mis = [block_experiment(iid_joint(p, n), "1.6", 1.0, design=iid_joint(q, n)).moment
+        mis = [block_experiment(p, n, "1.6", 1.0, design=q).moment
                for n in (8, 12, 16)]
         if not (mis[0] > mis[1] > mis[2]) or mis[2] >= 2.0:
             return False
         # H = 1 < R = 1.2 < H + Delta: matched converges, mismatched bound stuck
         for n in (8, 12, 16):
-            matched = block_experiment(iid_joint(p, n), "1.2", 1.0)
-            mis_rep = block_experiment(iid_joint(p, n), "1.2", 1.0, design=iid_joint(q, n))
+            matched = block_experiment(p, n, "1.2", 1.0)
+            mis_rep = block_experiment(p, n, "1.2", 1.0, design=q)
             if matched.moment >= 1.5 or mis_rep.upper <= 2.0:
                 return False
         return True
@@ -276,11 +275,11 @@ def test_criterion_10_markov_machinery():
         rate_mid = markov_renyi_sum(sticky, 0.5, 24) / 24
         rate_hi = round(rate_mid + 0.15, 6)
         rate_lo = round(rate_mid - 0.15, 6)
-        hi = [block_experiment(markov_joint(sticky, n), str(rate_hi), 1.0).moment
+        hi = [block_experiment(sticky, n, str(rate_hi), 1.0).moment
               for n in (8, 12, 16)]
         if not (hi[0] > hi[1] > hi[2]):
             return False
-        lo = [block_experiment(markov_joint(sticky, n), str(rate_lo), 1.0).lower
+        lo = [block_experiment(sticky, n, str(rate_lo), 1.0).lower
               for n in (8, 12, 16)]
         return lo[0] < lo[1] < lo[2] and lo[2] > 2.0
 

@@ -134,7 +134,7 @@ SWEEP_LAWS = [
 def test_lambda_from_law_matches_scalar_formula(masses, rate, ns, rho):
     checked = 0
     for n in ns:
-        p = iid_joint(Pmf(masses), n).as_pmf()
+        p = iid_joint(Pmf(masses), n)
         threshold = math.log2(p.size) + 2.0
         for m in (math.floor(threshold) + 1, floor_pow2(rate * n)):
             if m > threshold:

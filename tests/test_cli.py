@@ -143,6 +143,12 @@ class TestMomentOracle:
         assert code == 0
         assert float(out.splitlines()[0]) == pytest.approx(2.0)
 
+    def test_oracle_past_the_float_range(self, capsys, files):
+        # 2^1e300 overflows: every block of two or more costs inf
+        code, out = run(capsys, ["oracle", "--pmf", str(files["uniform4"]),
+                                 "--M", "4", "--rho", "1e300"])
+        assert (code, out) == (0, "1\n0\n1\n2\n3\n")
+
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_oracle_nonpositive_m_usage_error(self, capsys, files, m):
         code, err = run_error(capsys, ["oracle", "--pmf", str(files["uniform4"]),
@@ -406,3 +412,47 @@ class TestHugeBlockLengths:
                                                    "--rho", "1", "--n", "20000..20000"]))
         assert code == 3
         assert "2^20000 tuples" in err
+
+    def test_one_symbol_source_reaches_the_m_check(self, capsys, files):
+        # 1^n tuples never exceed the cap; nR >= 1024 then refuses M at once
+        one = files["tmp"] / "one.pmf"
+        one.write_text("1\n")
+        n = 10**12
+        code, err = run_error(capsys, ["sweep", "--pmf", str(one), "--rate", "0.9",
+                                       "--rho", "1", "--n", f"{n}..{n}"])
+        assert code == 2
+        assert "nR = 900000000000" in err
+        code, out = run(capsys, ["sweep", "--pmf", str(one), "--rate", "0.9",
+                                 "--rho", "1", "--n", "5..5"])
+        assert (code, out) == (0, "n,R,rho,M,N,moment,lower,upper,m_tilde,delta\n"
+                                  "5,0.9,1,22,1,1,0.0454545454545,1.2,5,0.435614381023\n")
+
+
+SWEEP_SOURCES = {
+    "matched": ["--pmf", "fair"],
+    "markov": ["--markov", "markov"],
+    "mismatched": ["--pmf", "fair", "--q", "bern01"],
+}
+
+
+class TestRowErrorOrder:
+    """Every sweep row checks rho, then the alphabets, then the tuple cap,
+    then M."""
+
+    @pytest.mark.parametrize("source", SWEEP_SOURCES)
+    @pytest.mark.parametrize("rho,n,expected", [
+        ("0", 23, 2),        # rho before the cap (2^23 tuples)
+        ("1", 20000, 3),     # the cap before M (nR >= 1024)
+    ])
+    def test_rho_cap_and_m(self, capsys, files, source, rho, n, expected):
+        argv = ["sweep", *SWEEP_SOURCES[source], "--rate", "0.9", "--rho", rho,
+                "--n", f"{n}..{n}"]
+        code, _ = run_error(capsys, fill(files, argv))
+        assert code == expected
+
+    def test_alphabets_before_the_cap(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["sweep", "--pmf", "fair", "--q", "uniform4",
+                                                   "--rate", "1.6", "--rho", "1",
+                                                   "--n", "23..23"]))
+        assert code == 1
+        assert "alphabet sizes differ" in err

@@ -254,7 +254,7 @@ class TestBlockExperiment:
         p = Pmf([0.9, 0.1])
         moments = []
         for n in (8, 12, 16):
-            rep = block_experiment(iid_joint(p, n), "0.9", 1.0)
+            rep = block_experiment(p, n, "0.9", 1.0)
             assert rep.lower <= rep.moment < rep.upper
             assert rep.delta > 0
             moments.append(rep.moment)
@@ -263,26 +263,26 @@ class TestBlockExperiment:
     def test_rate_below_entropy_lower_bound_grows(self):
         p = Pmf([0.9, 0.1])
         gap = renyi_rho(p, 1.0) - 0.4
-        rep = block_experiment(iid_joint(p, 16), "0.4", 1.0)
+        rep = block_experiment(p, 16, "0.4", 1.0)
         assert rep.lower >= 2.0 ** (16 * gap - 1)
 
     def test_uniform_source_above_rate(self):
-        rep = block_experiment(iid_joint(Pmf([0.5, 0.5]), 6), "1.5", 1.0)
+        rep = block_experiment(Pmf([0.5, 0.5]), 6, "1.5", 1.0)
         assert 1.0 <= rep.moment <= rep.upper
 
     def test_rate_too_small(self):
         with pytest.raises(RateTooSmallError):
-            block_experiment(iid_joint(Pmf([0.5, 0.5]), 8), "0.3", 1.0)
+            block_experiment(Pmf([0.5, 0.5]), 8, "0.3", 1.0)
 
     def test_delta_shrinks(self):
         p = Pmf([0.9, 0.1])
-        deltas = [block_experiment(iid_joint(p, n), "0.9", 1.0).delta
+        deltas = [block_experiment(p, n, "0.9", 1.0).delta
                   for n in (8, 12, 16)]
         assert deltas[0] > deltas[1] > deltas[2] > 0
         assert deltas[-1] < 0.5
 
     def test_csv_row_format(self):
-        rep = block_experiment(iid_joint(Pmf([0.9, 0.1]), 8), "0.9", 1.0)
+        rep = block_experiment(Pmf([0.9, 0.1]), 8, "0.9", 1.0)
         row = rep.csv_row()
         assert row.startswith("8,0.9,1,")
         assert len(row.split(",")) == 10
@@ -295,28 +295,26 @@ class TestBlockExperiment:
     def test_bounds_are_the_public_bounds(self, masses, rate, rho):
         # one Renyi entropy serves both bounds of a row, to the same bits
         for n in (3, 6):
-            law = iid_joint(Pmf(masses), n)
-            rep = block_experiment(law, rate, rho)
-            p = law.as_pmf()
+            rep = block_experiment(Pmf(masses), n, rate, rho)
+            p = iid_joint(Pmf(masses), n)
             assert rep.lower == lower_bound(p, rep.description_count, rho)
             assert rep.upper == upper_bound(p, rep.description_count, rho)
 
     @pytest.mark.parametrize("rate", ["256", "1e3"])
     def test_description_count_beyond_float_range(self, rate):
         with pytest.raises(OverflowError, match="exceeds the float range"):
-            block_experiment(iid_joint(Pmf([0.5, 0.5]), 4), rate, 1.0)
+            block_experiment(Pmf([0.5, 0.5]), 4, rate, 1.0)
 
 
 @pytest.mark.parametrize("rho", [math.inf, 1e-300])
 def test_rho_without_a_renyi_order(rho):
     # 1/(1+rho) is 0 or rounds to 1: every user of the order names rho
     p = Pmf([0.5, 0.3, 0.2])
-    law = iid_joint(p, 2)
     calls = [
         lambda: renyi_rho(p, rho),
         lambda: lambda_from_law(p, rho, 8),
-        lambda: block_experiment(law, "1.4", rho),
-        lambda: block_experiment(law, "1.4", rho, design=law),
+        lambda: block_experiment(p, 2, "1.4", rho),
+        lambda: block_experiment(p, 2, "1.4", rho, design=p),
         lambda: mismatched_bound(p, p, 8, rho),
     ]
     for call in calls:

@@ -6,6 +6,7 @@ array code must return the same floats, bit for bit, and the same partition.
 """
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from taskcodes import (
     MarkovSource,
     Partition,
     Pmf,
+    TaskEncoder,
     brute_force_optimum,
     log2sumexp,
     markov_renyi_sum,
     markov_renyi_sums,
+    moment,
 )
 from taskcodes.probability import _log2sumexp_rows
 
@@ -202,6 +205,24 @@ class TestBruteForceOptimum:
     ])
     def test_matches_growth_string_loop_at_10_symbols(self, masses, m, rho):
         assert_same_optimum(Pmf(masses), m, rho)
+
+    @pytest.mark.parametrize("masses,m", [
+        ([0.25] * 4, 4),
+        ([0.25] * 4, 2),
+        ([1.0, 0.0], 1),                # the zero-mass branch at m = 1
+        ([0.5, 0.3, 0.2, 0.0], 2),
+        ([0.5, 0.3, 0.2, 0.0], 4),
+    ])
+    def test_block_power_past_the_float_range(self, masses, m):
+        # c^1e300 overflows for every block of c >= 2 symbols: as in moment,
+        # such a block's power is inf, and singletons keep the value finite
+        p = Pmf(masses)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, part = brute_force_optimum(p, m, 1e300)
+            assert val == moment(p, TaskEncoder(part.num_blocks, part), 1e300)
+        if m >= len(masses):
+            assert val == 1.0
 
     def test_every_candidate_infinite(self):
         # rho = inf with fewer blocks than symbols: every partition has

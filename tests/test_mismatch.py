@@ -165,16 +165,15 @@ class TestMismatchedBound:
 class TestMismatchedBlockExperiment:
     def test_matched_equals_plain_experiment(self):
         p = Q_SKEW
-        rep_mis = block_experiment(iid_joint(p, 8), "0.9", 1.0, design=iid_joint(p, 8))
-        rep = block_experiment(iid_joint(p, 8), "0.9", 1.0)
+        rep_mis = block_experiment(p, 8, "0.9", 1.0, design=p)
+        rep = block_experiment(p, 8, "0.9", 1.0)
         assert rep_mis.moment == pytest.approx(rep.moment, rel=1e-12)
         assert rep_mis.upper == pytest.approx(rep.upper, rel=1e-12)
         assert sundaresan_divergence(p, p, 0.5).bits == pytest.approx(0.0, abs=1e-12)
 
     def test_rate_above_penalized_entropy(self):
         # R = 1.6 > H + Delta = 1 + log2(4/3)
-        moments = [block_experiment(iid_joint(P_FAIR, n), "1.6", 1.0,
-                                    design=iid_joint(Q_SKEW, n)).moment
+        moments = [block_experiment(P_FAIR, n, "1.6", 1.0, design=Q_SKEW).moment
                    for n in (8, 12, 16)]
         assert moments[0] > moments[1] > moments[2]
         assert moments[-1] < 2.0
@@ -182,9 +181,8 @@ class TestMismatchedBlockExperiment:
     def test_rate_in_penalty_window(self):
         # H < R = 1.2 < H + Delta: matched converges, mismatched bound does not
         for n in (8, 12):
-            matched = block_experiment(iid_joint(P_FAIR, n), "1.2", 1.0)
-            mis = block_experiment(iid_joint(P_FAIR, n), "1.2", 1.0,
-                                   design=iid_joint(Q_SKEW, n))
+            matched = block_experiment(P_FAIR, n, "1.2", 1.0)
+            mis = block_experiment(P_FAIR, n, "1.2", 1.0, design=Q_SKEW)
             assert matched.moment < 1.5
             assert mis.upper > 2.0
             assert sundaresan_divergence(P_FAIR, Q_SKEW, 0.5).bits == pytest.approx(

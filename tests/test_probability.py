@@ -124,6 +124,13 @@ def test_cap_edges():
         iid_joint(Pmf([1 / 3] * 3), 3, cap=26)
 
 
+def test_one_symbol_law_is_the_point_mass_at_any_n():
+    # 1^n never exceeds the cap, so the builders may not loop over n
+    one = Pmf([1.0])
+    assert iid_joint(one, 10**12, cap=1).masses.tolist() == [1.0]
+    assert markov_joint(MarkovSource(one, np.eye(1)), 10**12, cap=1).masses.tolist() == [1.0]
+
+
 class TestIidJoint:
     def test_fair_coin_cube(self):
         law = iid_joint(Pmf([0.5, 0.5]), 3)
