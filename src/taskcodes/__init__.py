@@ -38,7 +38,6 @@ from .partitions import (
 )
 from .coding import (
     MomentReport,
-    TaskEncoder,
     block_experiment,
     brute_force_optimum,
     build_encoder,
@@ -51,9 +50,7 @@ from .coding import (
 )
 from .mismatch import (
     DivergenceLimits,
-    DivergenceValue,
     divergence_limits,
-    mismatched_bound,
     product_additivity_check,
     renyi_divergence,
     sundaresan_divergence,

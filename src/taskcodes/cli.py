@@ -36,7 +36,6 @@ from .probability import (
 )
 from .coding import (
     MomentReport,
-    TaskEncoder,
     _report,
     as_rate,
     block_experiment,
@@ -186,8 +185,8 @@ def cmd_construct(args) -> None:
         raise UsageError("construct needs --pmf or --budgets")
     if args.M is None or args.rho is None:
         raise UsageError("construct --pmf needs --M and --rho")
-    report, enc = _report(_load(args.pmf, read_pmf_text), args.rho, args.M)
-    lines = enc.partition.to_text().rstrip("\n").split("\n")
+    report, part = _report(_load(args.pmf, read_pmf_text), args.rho, args.M)
+    lines = part.to_text().rstrip("\n").split("\n")
     lines.append(MomentReport.CSV_HEADER)
     lines.append(report.csv_row())
     _emit(lines, args.out)
@@ -196,8 +195,7 @@ def cmd_construct(args) -> None:
 def cmd_moment(args) -> None:
     p = _load(args.pmf, read_pmf_text)
     part = _load(args.partition, Partition.from_text)
-    enc = TaskEncoder(description_count=part.num_blocks, partition=part)
-    _emit([fmt(moment(p, enc, args.rho))], args.out)
+    _emit([fmt(moment(p, part, args.rho))], args.out)
 
 
 def cmd_oracle(args) -> None:
@@ -227,7 +225,7 @@ def cmd_sweep(args) -> None:
     suffix = ""
     if design is not None:
         lines[0] += ",q_id,delta_bits"
-        bits = sundaresan_divergence(source, design, _rho_order(args.rho)).bits
+        bits = sundaresan_divergence(source, design, _rho_order(args.rho))
         suffix = f",{os.path.basename(args.q)},{fmt(bits)}"
     lines.extend(report.csv_row() + suffix for report in rows)
     _emit(lines, args.out)
@@ -240,7 +238,7 @@ def cmd_mismatch(args) -> None:
     lines = ["alpha,delta,renyi_div,kl"]
     kl = kl_divergence(p, q)
     for alpha in alphas:
-        d = sundaresan_divergence(p, q, alpha).bits
+        d = sundaresan_divergence(p, q, alpha)
         r = renyi_divergence(p, q, alpha)
         lines.append(f"{fmt(alpha)},{fmt(d)},{fmt(r)},{fmt(kl)}")
     _emit(lines, args.out)

@@ -2,11 +2,14 @@
 
 An encoder f: X -> {1, ..., M} forces every task sharing a description to
 be performed; the figure of merit is the rho-th moment
-sum_x P(x) |f^-1(f(x))|^rho.  The constructed encoder derives per-element
-cardinality budgets from the law (size roughly proportional to
+sum_x P(x) |f^-1(f(x))|^rho.  An encoder is held as the Partition of X into
+its nonempty preimages: block b carries description b + 1, and the ids
+above the number of blocks stay unused.  The constructed encoder derives
+per-element cardinality budgets from the law (size roughly proportional to
 P(x)^(-1/(1+rho))) and feeds them to the greedy partition builder.  The
 moment of any encoder is sandwiched between two exponentials in the Renyi
-entropy of order 1/(1+rho).
+entropy of order 1/(1+rho); an encoder designed for a mismatched law pays
+Sundaresan's divergence in the upper bound's exponent.
 """
 from __future__ import annotations
 
@@ -23,46 +26,20 @@ from .errors import (
     DescriptionCountTooSmallError,
     RateTooSmallError,
 )
+from .mismatch import sundaresan_divergence
 from .partitions import LambdaBudget, Partition, build_partition
 from .probability import (
     DEFAULT_TUPLE_CAP,
     MarkovSource,
     Pmf,
     _check_alphabets,
+    _check_cap,
     _check_rho,
-    _delta_bits,
     _rho_order,
     iid_joint,
     markov_joint,
     renyi_rho,
 )
-
-
-@dataclass(frozen=True)
-class TaskEncoder:
-    """An encoder f: X -> {1, ..., M} given by its induced partition; block
-    m (0-based) carries description id m + 1.  Description ids above the
-    number of nonempty preimages stay unused."""
-
-    description_count: int
-    partition: Partition
-
-    def __post_init__(self) -> None:
-        if self.partition.num_blocks > self.description_count:
-            raise ValueError(
-                f"{self.partition.num_blocks} preimages exceed M = "
-                f"{self.description_count}"
-            )
-
-    @property
-    def used_count(self) -> int:
-        """N: the number of nonempty preimages."""
-        return self.partition.num_blocks
-
-    @property
-    def assignment(self) -> tuple[int, ...]:
-        """Description id per element, 1-based."""
-        return tuple((self.partition.labels + 1).tolist())
 
 
 def fmt(v: float) -> str:
@@ -124,22 +101,23 @@ def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
     return LambdaBudget.from_index(budgets, np.searchsorted(masses, p.masses))
 
 
-def build_encoder(p: Pmf, rho: float, m: int) -> TaskEncoder:
-    """Construct the encoder induced by the greedy partition of the
-    law-derived budgets.  Requires M > log2|X| + 2."""
+def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
+    """The encoder with m descriptions for p: the greedy partition of the
+    law-derived budgets, whose N blocks never exceed M.  Requires
+    M > log2|X| + 2."""
     part = build_partition(lambda_from_law(p, rho, m))
-    return TaskEncoder(description_count=m, partition=part)
+    if part.num_blocks > m:
+        raise ValueError(f"{part.num_blocks} preimages exceed M = {m}")
+    return part
 
 
-def moment(p: Pmf, enc: TaskEncoder, rho: float) -> float:
-    """The rho-th moment sum_x P(x) L(x)^rho of the encoder under p."""
+def moment(p: Pmf, part: Partition, rho: float) -> float:
+    """The rho-th moment sum_x P(x) L(x)^rho of the encoder `part` under p."""
     _check_rho(rho)
-    if p.size != enc.partition.ground_size:
+    if p.size != part.ground_size:
         raise AlphabetMismatchError(
-            f"pmf over {p.size} symbols vs encoder over "
-            f"{enc.partition.ground_size}"
+            f"pmf over {p.size} symbols vs encoder over {part.ground_size}"
         )
-    part = enc.partition
     # one power per block; past the float range it is inf, and a zero
     # mass's term 0 * inf (nan) is then set to 0 * L^rho = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -170,10 +148,10 @@ def _upper(h: float, mt: float, rho: float) -> float:
 def lower_bound(p, m: int, rho: float) -> float:
     """Converse bound 2^(rho*(H_{1/(1+rho)}(p) - log2 M)), valid for every
     encoder with M descriptions."""
-    _check_rho(rho)
+    h = renyi_rho(p, rho)
     if m < 1:
         raise ValueError("M must be a positive integer")
-    return _lower(renyi_rho(p, rho), m, rho)
+    return _lower(h, m, rho)
 
 
 def m_tilde(m: int, alphabet_size: int) -> float:
@@ -181,11 +159,15 @@ def m_tilde(m: int, alphabet_size: int) -> float:
     return (m - math.log2(alphabet_size) - 2.0) / 4.0
 
 
-def upper_bound(p, m: int, rho: float) -> float:
+def upper_bound(p, m: int, rho: float, design: Pmf | None = None) -> float:
     """Achievability bound 1 + 2^(rho*(H_{1/(1+rho)}(p) - log2 Mtilde));
-    +inf when M <= log2|X| + 2."""
-    _check_rho(rho)
-    return _upper(renyi_rho(p, rho), m_tilde(m, p.size), rho)
+    +inf when M <= log2|X| + 2.  With `design`, it bounds the moment under p
+    of build_encoder(design, rho, m): Sundaresan's Delta_{1/(1+rho)}(p||design)
+    joins the exponent, and the bound is +inf when the divergence is."""
+    h = renyi_rho(p, rho)
+    if design is not None:
+        h += sundaresan_divergence(p, design, _rho_order(rho))
+    return _upper(h, m_tilde(m, p.size), rho)
 
 
 def _grow(masks: np.ndarray, used: np.ndarray, first: int, last: int,
@@ -323,17 +305,14 @@ def _description_count(rate: Fraction, n: int, base: int) -> int:
 
 
 def _report(p: Pmf, rho: float, m: int, design: Pmf | None = None,
-            n: int = 1, rate: float = math.nan) -> tuple[MomentReport, TaskEncoder]:
+            n: int = 1, rate: float = math.nan) -> tuple[MomentReport, Partition]:
     """Build the encoder with m descriptions for `design` (default p) and
-    report its moment under p next to both bounds, from one Renyi entropy.
-
-    A mismatched design adds Sundaresan's penalty Delta_{1/(1+rho)}(p||design)
-    to the upper bound's exponent, which is +inf when the divergence is.
-    delta = rate - log2(Mtilde)/n is nan without a rate.
+    report its moment under p next to lower_bound and upper_bound(...,
+    design), both from one Renyi entropy.  delta = rate - log2(Mtilde)/n is
+    nan without a rate.
     """
-    enc = build_encoder(p if design is None else design, rho, m)
-    penalty = 0.0 if design is None else _delta_bits(p.log_masses, design.log_masses,
-                                                     _rho_order(rho))
+    part = build_encoder(p if design is None else design, rho, m)
+    penalty = 0.0 if design is None else sundaresan_divergence(p, design, _rho_order(rho))
     mt = m_tilde(m, p.size)
     h = renyi_rho(p, rho)
     report = MomentReport(
@@ -341,14 +320,14 @@ def _report(p: Pmf, rho: float, m: int, design: Pmf | None = None,
         rate=rate,
         rho=rho,
         description_count=m,
-        used_count=enc.used_count,
-        moment=moment(p, enc, rho),
+        used_count=part.num_blocks,
+        moment=moment(p, part, rho),
         lower=_lower(h, m, rho),
         upper=_upper(h + penalty, mt, rho),
         m_tilde=mt,
         delta=rate - math.log2(mt) / n,
     )
-    return report, enc
+    return report, part
 
 
 def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
@@ -364,8 +343,9 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     Delta_{1/(1+rho)} between the two n-tuple laws in its exponent.
 
     The inputs are checked in one order: rho, the alphabets, the tuple cap
-    on base^n, then M.  delta = R - log2(Mtilde)/n is the finite-n slack
-    between the upper bound's exponent and the rate; it vanishes as n grows.
+    on base^n, then M, and only then are the n-tuple laws built.
+    delta = R - log2(Mtilde)/n is the finite-n slack between the upper
+    bound's exponent and the rate; it vanishes as n grows.
     """
     _rho_order(rho)
     if isinstance(source, MarkovSource):
@@ -374,8 +354,9 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
         letters, joint = source, iid_joint
     if design is not None:
         _check_alphabets(letters, design)
-    law = joint(source, n, cap)
-    design_law = None if design is None else iid_joint(design, n, cap)
+    _check_cap(letters.size, n, cap)
     rate_fr = as_rate(rate)
     m = _description_count(rate_fr, n, letters.size)
+    law = joint(source, n, cap)
+    design_law = None if design is None else iid_joint(design, n, cap)
     return _report(law, rho, m, design_law, n, float(rate_fr))[0]

@@ -1,4 +1,4 @@
-"""Mismatched code design and the divergence that prices it.
+"""The divergences that price a mismatched code design.
 
 Designing the encoder for Q while tasks are drawn from P costs extra rate;
 the penalty is Sundaresan's divergence
@@ -9,7 +9,9 @@ the penalty is Sundaresan's divergence
 
 evaluated at alpha = 1/(1+rho).  Conventions 0/0 = 0 and a/0 = +inf apply
 symbol by symbol.  The three factors are computed separately in the log
-domain and only then combined.  Mismatched block experiments are
+domain and only then combined.  This module holds the divergences only:
+the mismatched bound is taskcodes.coding.upper_bound(p, m, rho, design=q),
+and mismatched block experiments are
 taskcodes.coding.block_experiment(p, n, rate, rho, design=q).
 """
 from __future__ import annotations
@@ -20,27 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolationError
-from .coding import TaskEncoder, _report
 from .probability import (
     DEFAULT_TUPLE_CAP,
     Pmf,
     _check_alpha,
     _check_alphabets,
-    _delta_bits,
-    _rho_order,
     iid_joint,
     kl_divergence,
     log2sumexp,
 )
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
-    alpha: float
-    bits: float
-
-
-def sundaresan_divergence(p, q, alpha: float) -> DivergenceValue:
+def sundaresan_divergence(p, q, alpha: float) -> float:
     """Delta_alpha(p||q) in bits.
 
     Accepts any two Pmfs over one alphabet, n-tuple laws included.  +inf
@@ -49,7 +42,22 @@ def sundaresan_divergence(p, q, alpha: float) -> DivergenceValue:
     """
     _check_alpha(alpha)
     _check_alphabets(p, q)
-    return DivergenceValue(alpha, _delta_bits(p.log_masses, q.log_masses, alpha))
+    lp, lq = p.log_masses, q.log_masses
+    log_a = log2sumexp(alpha * lq)
+    log_b = log2sumexp(alpha * lp)
+    supp_p = np.isfinite(lp)
+    supp_q = np.isfinite(lq)
+    if alpha < 1.0 and np.any(supp_p & ~supp_q):
+        return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
+    both = supp_p & supp_q
+    log_c = log2sumexp(lp[both] + (alpha - 1.0) * lq[both])
+    if math.isinf(log_c):
+        # only reachable with alpha > 1 and disjoint supports
+        return math.inf
+    value = log_a - log_b / (1.0 - alpha) + alpha / (1.0 - alpha) * log_c
+    if -1e-12 < value < 0.0:
+        value = 0.0
+    return value
 
 
 def renyi_divergence(p, q, alpha: float) -> float:
@@ -100,7 +108,7 @@ def divergence_limits(p: Pmf, q: Pmf) -> DivergenceLimits:
     avg = float(p.masses[argmax].mean())
     pmax = float(p.masses.max())
     order_inf = math.inf if avg == 0.0 else math.log2(pmax / avg)
-    probes = {a: _delta_bits(p.log_masses, q.log_masses, a) for a in _PROBE_ALPHAS}
+    probes = {a: sundaresan_divergence(p, q, a) for a in _PROBE_ALPHAS}
     return DivergenceLimits(
         kl=kl_divergence(p, q), order0=order0, order_inf=order_inf, probes=probes
     )
@@ -110,26 +118,9 @@ def product_additivity_check(p: Pmf, q: Pmf, alpha: float, n: int,
                              cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """True iff Delta_alpha(p^n || q^n) = n * Delta_alpha(p || q) within
     1e-9 * n (infinities on both sides also count as equal)."""
-    _check_alpha(alpha)
-    _check_alphabets(p, q)
-    single = _delta_bits(p.log_masses, q.log_masses, alpha)
-    jp = iid_joint(p, n, cap)
-    jq = iid_joint(q, n, cap)
-    joint = _delta_bits(jp.log_masses, jq.log_masses, alpha)
+    single = sundaresan_divergence(p, q, alpha)
+    joint = sundaresan_divergence(iid_joint(p, n, cap), iid_joint(q, n, cap), alpha)
     if math.isinf(single) or math.isinf(joint):
         return math.isinf(single) and math.isinf(joint)
     return abs(joint - n * single) <= 1e-9 * n
 
-
-def mismatched_bound(p: Pmf, q: Pmf, m: int, rho: float) -> tuple[float, TaskEncoder]:
-    """Build the encoder from q, and return the moment bound it obeys under
-    p: 1 + 2^(rho*(H(p) + Delta(p||q) - log2 Mtilde)), entropy and
-    divergence both of order 1/(1+rho).
-
-    The bound is +inf (valid but vacuous) when supp(p) is not contained in
-    supp(q).
-    """
-    _rho_order(rho)
-    _check_alphabets(p, q)
-    report, enc = _report(p, rho, m, design=q)
-    return report.upper, enc

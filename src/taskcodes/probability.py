@@ -4,7 +4,8 @@ All logarithms are base 2 and all entropies are in bits.  Zero masses are
 represented as -inf in the log domain.  The law of an n-tuple is a Pmf over
 base^n symbols: its log-masses are summed letter by letter and only then
 exponentiated, so a tuple's mass underflows to 0 only when it is below the
-float range.
+float range.  Divergences between two laws other than KL live in
+taskcodes.mismatch.
 """
 from __future__ import annotations
 
@@ -167,6 +168,9 @@ class MarkovSource:
 
 
 def _check_cap(base: int, n: int, cap: int) -> None:
+    """Refuse a block length below 1, or base^n tuples over the cap."""
+    if n < 1:
+        raise ValueError("block length must be positive")
     # base^n is only built below 2^(bits of cap): past that it is over the
     # cap anyway, and at n = 10^9 its bits alone take 125 MB
     if base > 1 and n >= cap.bit_length() or base ** n > cap:
@@ -191,8 +195,6 @@ def renyi_rho(dist, rho: float) -> float:
 def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
     """The n-fold product law of p, a Pmf over k^n symbols (k = p.size):
     tuple (x1, ..., xn) is symbol x1*k^(n-1) + ... + xn."""
-    if n < 1:
-        raise ValueError("block length must be positive")
     _check_cap(p.size, n, cap)
     if p.size == 1:
         return p  # the point mass, at any n
@@ -205,8 +207,6 @@ def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
 def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
     """The joint law of the first n states of a Markov chain, a Pmf in the
     tuple order of iid_joint."""
-    if n < 1:
-        raise ValueError("block length must be positive")
     base = src.num_states
     _check_cap(base, n, cap)
     if base == 1:
@@ -264,26 +264,6 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     pm = p.masses[supp]
     qm = q.masses[supp]
     return math.fsum(pm * np.log2(pm / qm))
-
-
-def _delta_bits(lp: np.ndarray, lq: np.ndarray, alpha: float) -> float:
-    """Sundaresan divergence from two log2-mass vectors (taskcodes.mismatch)."""
-    log_a = log2sumexp(alpha * lq)
-    log_b = log2sumexp(alpha * lp)
-    supp_p = np.isfinite(lp)
-    supp_q = np.isfinite(lq)
-    if alpha < 1.0 and np.any(supp_p & ~supp_q):
-        return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
-    both = supp_p & supp_q
-    log_c = log2sumexp(lp[both] + (alpha - 1.0) * lq[both])
-    coeff = alpha / (1.0 - alpha)
-    if math.isinf(log_c):
-        # only reachable with alpha > 1 and disjoint supports
-        return math.inf
-    value = log_a - log_b / (1.0 - alpha) + coeff * log_c
-    if -1e-12 < value < 0.0:
-        value = 0.0
-    return value
 
 
 def _data_lines(text: str):

@@ -39,6 +39,27 @@ README_MISMATCHED_SWEEP = (
     "12714747.5,0.125000032732,bern.pmf,0.415037499279\n"
 )
 
+# stdout of the README's other examples, in its working directory (bern.pmf,
+# u4.pmf and fair.pmf as the README writes them)
+README_EXAMPLES = {
+    "entropy --pmf bern.pmf --alpha 0.5":
+        "alpha,entropy_bits\n0.5,0.678071905113\n",
+    "construct --pmf u4.pmf --M 5 --rho 1":
+        "0 1 2 3\n"
+        "n,R,rho,M,N,moment,lower,upper,m_tilde,delta\n"
+        "1,nan,1,5,1,4,0.8,17,0.25,nan\n",
+    "sweep --pmf bern.pmf --rate 0.9 --rho 1 --n 4..16 --step 4":
+        "n,R,rho,M,N,moment,lower,upper,m_tilde,delta\n"
+        "4,0.9,1,12,4,2.5862,0.546133333333,5.36906666667,1.5,0.75375937482\n"
+        "8,0.9,1,147,47,1.31305302,0.292174645986,2.25400504993,34.25,0.26274598963\n"
+        "12,0.9,1,1782,602,1.09005028667,0.157954532385,1.63682121428,442,"
+        "0.167674786717\n"
+        "16,0.9,1,21618,5956,1.05761945577,0.085330484197,1.34160637174,5400,"
+        "0.125078519254\n",
+    "mismatch --pmf fair.pmf --q bern.pmf --alpha 0.5":
+        "alpha,delta,renyi_div,kl\n0.5,0.415037499279,0.321928094887,0.736965594166\n",
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -456,3 +477,12 @@ class TestRowErrorOrder:
                                                    "--n", "23..23"]))
         assert code == 1
         assert "alphabet sizes differ" in err
+
+
+@pytest.mark.parametrize("command", README_EXAMPLES)
+def test_readme_example_bytes(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bern.pmf").write_text("0.9\n0.1\n")
+    (tmp_path / "u4.pmf").write_text("0.25\n0.25\n0.25\n0.25\n")
+    (tmp_path / "fair.pmf").write_text("0.5\n0.5\n")
+    assert run(capsys, command.split()) == (0, README_EXAMPLES[command])

@@ -12,7 +12,6 @@ from taskcodes import (
     Partition,
     Pmf,
     RateTooSmallError,
-    TaskEncoder,
     block_experiment,
     brute_force_optimum,
     build_encoder,
@@ -20,7 +19,6 @@ from taskcodes import (
     iid_joint,
     lambda_from_law,
     lower_bound,
-    mismatched_bound,
     moment,
     renyi_rho,
     upper_bound,
@@ -60,59 +58,55 @@ class TestLambdaFromLaw:
 
 class TestBuildEncoder:
     def test_uniform_four_single_block(self):
-        enc = build_encoder(Pmf([0.25] * 4), 1.0, 5)
-        assert enc.partition.num_blocks == 1
-        assert moment(Pmf([0.25] * 4), enc, 1.0) == pytest.approx(4.0)
+        part = build_encoder(Pmf([0.25] * 4), 1.0, 5)
+        assert part.num_blocks == 1
+        assert moment(Pmf([0.25] * 4), part, 1.0) == pytest.approx(4.0)
         assert upper_bound(Pmf([0.25] * 4), 5, 1.0) == pytest.approx(17.0)
 
     def test_huge_m_gives_singletons(self):
         p = Pmf([0.25] * 4)
-        enc = build_encoder(p, 1.0, 10 ** 6)
-        assert moment(p, enc, 1.0) == pytest.approx(1.0)
+        part = build_encoder(p, 1.0, 10 ** 6)
+        assert moment(p, part, 1.0) == pytest.approx(1.0)
 
     def test_precondition_boundary(self):
         for size in (2, 4, 7, 8):
             p = Pmf([1.0 / size] * size)
             m = math.ceil(math.log2(size)) + 3
-            enc = build_encoder(p, 1.0, m)
-            assert enc.used_count <= m
-
-    def test_assignment_is_one_based_block_order(self):
-        enc = build_encoder(Pmf([0.25] * 4), 1.0, 5)
-        assert enc.assignment == (1, 1, 1, 1)
+            part = build_encoder(p, 1.0, m)
+            assert part.num_blocks <= m
 
 
 class TestMoment:
     def test_all_to_one(self):
         p = Pmf([0.2, 0.3, 0.5])
-        enc = TaskEncoder(description_count=1, partition=Partition([[0, 1, 2]]))
-        assert moment(p, enc, 1.0) == pytest.approx(3.0)
+        part = Partition([[0, 1, 2]])
+        assert moment(p, part, 1.0) == pytest.approx(3.0)
 
     def test_singletons(self):
         p = Pmf([0.2, 0.3, 0.5])
-        enc = TaskEncoder(3, Partition([[0], [1], [2]]))
-        assert moment(p, enc, 2.5) == pytest.approx(1.0)
+        part = Partition([[0], [1], [2]])
+        assert moment(p, part, 2.5) == pytest.approx(1.0)
 
     def test_direct_arithmetic(self):
-        enc = TaskEncoder(2, Partition([[0], [1, 2, 3]]))
-        assert moment(DYADIC, enc, 1.0) == pytest.approx(2.0, abs=1e-12)
+        part = Partition([[0], [1, 2, 3]])
+        assert moment(DYADIC, part, 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_alphabet_mismatch(self):
-        enc = TaskEncoder(1, Partition([[0, 1]]))
+        part = Partition([[0, 1]])
         with pytest.raises(AlphabetMismatchError):
-            moment(Pmf([0.5, 0.25, 0.25]), enc, 1.0)
+            moment(Pmf([0.5, 0.25, 0.25]), part, 1.0)
 
     @pytest.mark.parametrize("rho", [1e300, math.inf])
     def test_power_past_the_float_range(self, rho):
         # 1 * 2^rho is inf; the zero mass adds 0 * 2^rho = 0, not nan
-        enc = TaskEncoder(1, Partition([[0, 1]]))
+        part = Partition([[0, 1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert moment(Pmf([1.0, 0.0]), enc, rho) == math.inf
+            assert moment(Pmf([1.0, 0.0]), part, rho) == math.inf
 
     def test_zero_mass_in_an_overflowing_block(self):
-        enc = TaskEncoder(2, Partition([[0], [1, 2]]))
-        assert moment(Pmf([1.0, 0.0, 0.0]), enc, 1e300) == 1.0
+        part = Partition([[0], [1, 2]])
+        assert moment(Pmf([1.0, 0.0, 0.0]), part, 1e300) == 1.0
 
 
 class TestBounds:
@@ -136,8 +130,8 @@ class TestBounds:
             p = random_pmf(r, r.randint(2, 8))
             rho = r.choice([0.5, 1.0, 2.0])
             m = pick_m(r, p.size)
-            enc = build_encoder(p, rho, m)
-            assert moment(p, enc, rho) < upper_bound(p, m, rho)
+            part = build_encoder(p, rho, m)
+            assert moment(p, part, rho) < upper_bound(p, m, rho)
 
 
 class TestBruteForce:
@@ -180,8 +174,8 @@ class TestSandwich:
             m = pick_m(r, p.size)
             low = lower_bound(p, m, rho)
             opt, _ = brute_force_optimum(p, m, rho)
-            enc = build_encoder(p, rho, m)
-            mom = moment(p, enc, rho)
+            part = build_encoder(p, rho, m)
+            mom = moment(p, part, rho)
             up = upper_bound(p, m, rho)
             assert low <= opt + 1e-9
             assert opt <= mom + 1e-9
@@ -305,6 +299,16 @@ class TestBlockExperiment:
         with pytest.raises(OverflowError, match="exceeds the float range"):
             block_experiment(Pmf([0.5, 0.5]), 4, rate, 1.0)
 
+    def test_m_is_refused_before_any_law_is_built(self, monkeypatch):
+        # M needs only n and |X|: a rate too small for n = 22 is refused
+        # without building the 2^22-entry law
+        def refuse(*args):
+            raise AssertionError("an n-tuple law was built")
+        monkeypatch.setattr("taskcodes.coding.iid_joint", refuse)
+        monkeypatch.setattr("taskcodes.coding.markov_joint", refuse)
+        with pytest.raises(RateTooSmallError):
+            block_experiment(Pmf([0.9, 0.1]), 22, "0.1", 1.0)
+
 
 @pytest.mark.parametrize("rho", [math.inf, 1e-300])
 def test_rho_without_a_renyi_order(rho):
@@ -315,7 +319,7 @@ def test_rho_without_a_renyi_order(rho):
         lambda: lambda_from_law(p, rho, 8),
         lambda: block_experiment(p, 2, "1.4", rho),
         lambda: block_experiment(p, 2, "1.4", rho, design=p),
-        lambda: mismatched_bound(p, p, 8, rho),
+        lambda: upper_bound(p, 8, rho, design=p),
     ]
     for call in calls:
         with pytest.raises(InvalidOrderError, match="rho must be finite"):

@@ -6,10 +6,10 @@ from taskcodes import (
     Pmf,
     SupportViolationError,
     block_experiment,
+    build_encoder,
     divergence_limits,
     iid_joint,
     kl_divergence,
-    mismatched_bound,
     moment,
     product_additivity_check,
     renyi_divergence,
@@ -29,23 +29,23 @@ class TestSundaresan:
     def test_zero_on_equal_laws(self):
         for alpha in (0.3, 0.5, 2.0, 5.0):
             p = random_pmf(rng(51, int(alpha * 10)), 5)
-            assert sundaresan_divergence(p, p, alpha).bits == pytest.approx(0.0, abs=1e-12)
+            assert sundaresan_divergence(p, p, alpha) == pytest.approx(0.0, abs=1e-12)
 
     def test_four_thirds_oracle(self):
         got = sundaresan_divergence(P_FAIR, Q_SKEW, 0.5)
-        assert got.bits == pytest.approx(DELTA_HALF, abs=1e-9)
+        assert got == pytest.approx(DELTA_HALF, abs=1e-9)
 
     def test_infinite_below_one_on_support_violation(self):
         p = Pmf([0.5, 0.5])
         q = Pmf([1.0, 0.0])
-        assert sundaresan_divergence(p, q, 0.5).bits == math.inf
+        assert sundaresan_divergence(p, q, 0.5) == math.inf
         # above one the same pair is finite (supports overlap)
-        assert math.isfinite(sundaresan_divergence(p, q, 2.0).bits)
+        assert math.isfinite(sundaresan_divergence(p, q, 2.0))
 
     def test_infinite_above_one_iff_disjoint(self):
         p = Pmf([1.0, 0.0])
         q = Pmf([0.0, 1.0])
-        assert sundaresan_divergence(p, q, 2.0).bits == math.inf
+        assert sundaresan_divergence(p, q, 2.0) == math.inf
 
     def test_nonnegative_random(self):
         for i in range(300):
@@ -53,7 +53,7 @@ class TestSundaresan:
             p = random_pmf(r, 5)
             q = random_pmf(r, 5)
             for alpha in (0.3, 0.5, 2.0, 5.0):
-                d = sundaresan_divergence(p, q, alpha).bits
+                d = sundaresan_divergence(p, q, alpha)
                 assert d >= 0.0
                 assert d > 0.0  # random pairs never coincide
 
@@ -119,7 +119,7 @@ class TestProductAdditivity:
         assert product_additivity_check(P_FAIR, Q_SKEW, 0.5, 3)
         joint = sundaresan_divergence(
             iid_joint(P_FAIR, 3), iid_joint(Q_SKEW, 3), 0.5
-        ).bits
+        )
         assert joint == pytest.approx(3 * DELTA_HALF, abs=3e-9)
 
     def test_n_equals_one(self):
@@ -137,20 +137,24 @@ class TestProductAdditivity:
 class TestMismatchedBound:
     def test_matched_reduces_to_direct_bound(self):
         p = random_pmf(rng(79, 0), 4)
-        bound, enc = mismatched_bound(p, p, 7, 1.0)
+        bound = upper_bound(p, 7, 1.0, design=p)
         assert bound == pytest.approx(upper_bound(p, 7, 1.0), rel=1e-12)
-        assert moment(p, enc, 1.0) < bound
+        assert moment(p, build_encoder(p, 1.0, 7), 1.0) < bound
 
     def test_fair_vs_skew_bound_holds(self):
-        bound, enc = mismatched_bound(P_FAIR, Q_SKEW, 8, 1.0)
-        mom = moment(P_FAIR, enc, 1.0)
+        bound = upper_bound(P_FAIR, 8, 1.0, design=Q_SKEW)
+        mom = moment(P_FAIR, build_encoder(Q_SKEW, 1.0, 8), 1.0)
         mt = (8 - 1 - 2) / 4.0
         want = 1.0 + 2.0 ** (1.0 + DELTA_HALF - math.log2(mt))
         assert bound == pytest.approx(want, rel=1e-9)
         assert mom < bound
 
+    def test_vacuous_at_m_below_threshold(self):
+        # like the matched bound: +inf at M <= log2|X| + 2, no error
+        assert upper_bound(P_FAIR, 3, 1.0, design=Q_SKEW) == math.inf
+
     def test_support_violation_gives_vacuous_bound(self):
-        bound, _ = mismatched_bound(Pmf([0.5, 0.5]), Pmf([1.0, 0.0]), 8, 1.0)
+        bound = upper_bound(Pmf([0.5, 0.5]), 8, 1.0, design=Pmf([1.0, 0.0]))
         assert bound == math.inf
 
     def test_dominates_matched_bound(self):
@@ -158,7 +162,7 @@ class TestMismatchedBound:
             r = rng(83, i)
             p = random_pmf(r, 4)
             q = random_pmf(r, 4)
-            bound, _ = mismatched_bound(p, q, 8, 1.0)
+            bound = upper_bound(p, 8, 1.0, design=q)
             assert bound >= upper_bound(p, 8, 1.0) - 1e-9
 
 
@@ -169,7 +173,7 @@ class TestMismatchedBlockExperiment:
         rep = block_experiment(p, 8, "0.9", 1.0)
         assert rep_mis.moment == pytest.approx(rep.moment, rel=1e-12)
         assert rep_mis.upper == pytest.approx(rep.upper, rel=1e-12)
-        assert sundaresan_divergence(p, p, 0.5).bits == pytest.approx(0.0, abs=1e-12)
+        assert sundaresan_divergence(p, p, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_rate_above_penalized_entropy(self):
         # R = 1.6 > H + Delta = 1 + log2(4/3)
@@ -185,5 +189,5 @@ class TestMismatchedBlockExperiment:
             mis = block_experiment(P_FAIR, n, "1.2", 1.0, design=Q_SKEW)
             assert matched.moment < 1.5
             assert mis.upper > 2.0
-            assert sundaresan_divergence(P_FAIR, Q_SKEW, 0.5).bits == pytest.approx(
+            assert sundaresan_divergence(P_FAIR, Q_SKEW, 0.5) == pytest.approx(
                 DELTA_HALF, abs=1e-12)
