@@ -14,8 +14,10 @@ from .errors import (
 )
 from .probability import (
     DEFAULT_TUPLE_CAP,
+    IidTypes,
     MarkovSource,
     Pmf,
+    TypeLaw,
     iid_joint,
     kl_divergence,
     log2sumexp,

@@ -27,16 +27,19 @@ from .errors import (
     RateTooSmallError,
 )
 from .mismatch import sundaresan_divergence
-from .partitions import LambdaBudget, Partition, build_partition
+from .partitions import LambdaBudget, Partition, build_partition, greedy_runs
 from .probability import (
     DEFAULT_TUPLE_CAP,
+    IidTypes,
     MarkovSource,
     Pmf,
+    TypeLaw,
     _check_alphabets,
     _check_cap,
     _check_rho,
     _rho_order,
-    iid_joint,
+    as_floats,
+    grouped_fsum,
     markov_joint,
     renyi_rho,
 )
@@ -82,23 +85,50 @@ def _check_m(m: int, alphabet_size: int) -> float:
     return threshold
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of an array, and the index of each entry
+    among them.  (By hand: np.unique imports numpy.ma, 1.2 MB, on first
+    use.)"""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    ranks = np.cumsum(new)
+    ranks -= 1
+    ranks[order] = ranks.copy()  # rank of each entry, in entry order
+    return ordered[new], ranks
+
+
+def _budgets(law, rho: float, m: int) -> tuple[list, np.ndarray]:
+    """The distinct budgets of lambda_from_law in increasing order, and the
+    index of each symbol's budget among them.  `law` is a Pmf, or a
+    TypeLaw whose symbols are types: beta then weights each type by its
+    multiplicity, to the bits of the enumerated law."""
+    rt = _rho_order(rho)
+    threshold = _check_m(m, law.size)
+    supp = law.masses > 0.0
+    counts = law.multiplicity
+    beta = 2.0 * grouped_fsum(law.masses[supp] ** rt,
+                              None if counts is None else counts[supp]) / (m - threshold)
+    # One scalar power per distinct mass, never np.power on the array: the
+    # vectorized power can differ from the scalar one in the last bit, and
+    # the ceil can turn that bit into a different budget.
+    masses, index = _distinct(law.masses)
+    budgets = np.fromiter((math.inf if mass <= 0.0 else mass ** (-rt)
+                           for mass in as_floats(masses)), float, masses.size)
+    budgets *= beta
+    np.maximum(np.ceil(budgets, out=budgets), 1.0, out=budgets)  # integers, as floats
+    if np.isinf(budgets[int(masses[0] <= 0.0):]).any():  # a zero mass comes first
+        raise OverflowError("cannot convert float infinity to integer")
+    del masses
+    values, inverse = _distinct(budgets)
+    return [b if b == math.inf else int(b) for b in values.tolist()], inverse[index]
+
+
 def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
     """Budgets ceil(beta * P(x)^(-1/(1+rho))) (inf on zero mass), with beta
     chosen just large enough that the greedy builder fits in M blocks:
     beta = 2 * sum_x P(x)^(1/(1+rho)) / (M - log2|X| - 2)."""
-    rt = _rho_order(rho)
-    threshold = _check_m(m, p.size)
-    supp = p.masses > 0.0
-    beta = 2.0 * math.fsum(p.masses[supp] ** rt) / (m - threshold)
-    # One scalar power per distinct mass, never np.power on the array: the
-    # vectorized power can differ from the scalar one in the last bit, and
-    # the ceil can turn that bit into a different budget.  (Sorted distinct
-    # masses by hand: np.unique imports numpy.ma, 1.2 MB, on first use.)
-    masses = np.sort(p.masses)
-    masses = masses[np.concatenate(([True], masses[1:] != masses[:-1]))]
-    budgets = [math.inf if mass <= 0.0 else max(1, math.ceil(beta * mass ** (-rt)))
-               for mass in masses]
-    return LambdaBudget.from_index(budgets, np.searchsorted(masses, p.masses))
+    return LambdaBudget.from_index(*_budgets(p, rho, m))
 
 
 def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
@@ -269,22 +299,35 @@ def as_rate(rate) -> Fraction:
 def floor_pow2(exponent: Fraction) -> int:
     """floor(2**exponent) exactly for rational exponents.
 
-    Uses decimal arithmetic with enough working precision (whole + 80 bits)
-    that the only way the floor could be wrong is if 2**exponent were within
-    2^-60 of an integer, which for non-integer rational exponents does not
-    happen at desk scale.
+    Ziv's strategy: 2**exponent is evaluated in decimal with whole + 80
+    guard bits (whole = floor(exponent)), and the floor is taken only when
+    the fractional part lies farther than the error bound from 0 and from
+    1; otherwise the guard bits double and it tries again.  A non-integer
+    rational exponent gives an irrational power, so some precision always
+    decides.  The error bound, whole + 4 units of 10^(1-prec) relative to
+    the power, covers the rounding of the exponent (at most whole + 1 units
+    once raised to the power) and two units for the power itself, which
+    the decimal module rounds almost always correctly.
     """
     if exponent < 0:
         return 0
     if exponent.denominator == 1:
         return 1 << int(exponent)
     whole = exponent.numerator // exponent.denominator
-    with decimal.localcontext() as ctx:
-        # whole + 80 bits in decimal digits (log10(2) < 0.30103), plus two
-        ctx.prec = (whole + 80) * 30103 // 100000 + 2
-        ctx.Emax = decimal.MAX_EMAX
-        val = decimal.Decimal(exponent.numerator) / exponent.denominator
-        return int(decimal.Decimal(2) ** val)
+    guard = 80
+    while True:
+        with decimal.localcontext() as ctx:
+            # whole + guard bits in decimal digits (log10(2) < 0.30103), plus two
+            ctx.prec = (whole + guard) * 30103 // 100000 + 2
+            ctx.Emax = decimal.MAX_EMAX
+            val = decimal.Decimal(exponent.numerator) / exponent.denominator
+            power = decimal.Decimal(2) ** val
+            floor = int(power)
+            frac = power - floor
+            err = power * (whole + 4) * decimal.Decimal(10) ** (1 - ctx.prec)
+            if err < frac < 1 - err:
+                return floor
+        guard *= 2
 
 
 def _description_count(rate: Fraction, n: int, base: int) -> int:
@@ -308,26 +351,118 @@ def _report(p: Pmf, rho: float, m: int, design: Pmf | None = None,
             n: int = 1, rate: float = math.nan) -> tuple[MomentReport, Partition]:
     """Build the encoder with m descriptions for `design` (default p) and
     report its moment under p next to lower_bound and upper_bound(...,
-    design), both from one Renyi entropy.  delta = rate - log2(Mtilde)/n is
-    nan without a rate.
+    design) (see _row).
     """
     part = build_encoder(p if design is None else design, rho, m)
+    return _row(p, rho, m, design, n, rate, part.num_blocks, moment(p, part, rho)), part
+
+
+def _row(p, rho: float, m: int, design, n: int, rate: float, used: int,
+         value: float) -> MomentReport:
+    """The report of an encoder with `used` blocks and moment `value` under
+    p, built with m descriptions for `design` (default p): lower_bound and
+    upper_bound(..., design) come from one Renyi entropy, and delta = rate -
+    log2(Mtilde)/n is nan without a rate.  p and design are Pmfs, or
+    TypeLaws on the same types."""
     penalty = 0.0 if design is None else sundaresan_divergence(p, design, _rho_order(rho))
     mt = m_tilde(m, p.size)
     h = renyi_rho(p, rho)
-    report = MomentReport(
+    return MomentReport(
         n=n,
         rate=rate,
         rho=rho,
         description_count=m,
-        used_count=part.num_blocks,
-        moment=moment(p, part, rho),
+        used_count=used,
+        moment=value,
         lower=_lower(h, m, rho),
         upper=_upper(h + penalty, mt, rho),
         m_tilde=mt,
         delta=rate - math.log2(mt) / n,
     )
-    return report, part
+
+
+def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[int, float]:
+    """N and the rho-th moment under `law` of build_encoder(design, rho, m)
+    on the n-tuples, found on the type classes without enumerating them.
+
+    A type's tuples share one budget, so each budget run of the greedy
+    sweep is a union of type classes, ordered by tuple index inside the
+    run.  greedy_runs gives the run's blocks: at most three pieces of the
+    run differ in block size (the tail of the block before the run, the
+    run's own blocks, and a last block cut short by the end of the sweep).
+    Where a run is cut into pieces and holds types of different masses
+    under `law`, IidTypes.first_counts splits each type's tuples between
+    the pieces.  The moment sums count * (L^rho * P) over (type, piece)
+    with grouped_fsum, which is fsum over the tuples.
+    """
+    types = law.types
+    budget = LambdaBudget.from_index(*_budgets(design, rho, m))  # per type
+    order = np.argsort(budget.codes, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(budget.codes))))
+    run_counts = np.add.reduceat(types.multiplicity[order], bounds[:-1]).tolist()
+    size = law.size
+    runs = list(greedy_runs(budget.values, run_counts, size))
+    swept = runs[-1][2] if runs else 0
+    used = 0 if swept == size else 1
+    # each whole run has one block size (the absorbing runs that of the
+    # absorbing block); a split run has pieces (members, counts, block size)
+    run_block = [size - swept] * len(run_counts)
+    pieces = []
+    tail = 0  # the size of the block that reaches into the next run
+    for r, (b, start, end, head) in enumerate(runs):
+        if head == end:
+            run_block[r] = tail
+            continue
+        heads = -(-(end - head) // b)
+        used += heads
+        last = head + (heads - 1) * b
+        ends = [head - start, last - start, end - start]
+        blocks = [tail, b, min(b, swept - last)]
+        tail = blocks[-1]
+        cut = []  # (end, block size) of each piece, neighbours merged
+        for e, s, before in zip(ends, blocks, [0] + ends):
+            if e > before:
+                if cut and cut[-1][1] == s:
+                    cut.pop()
+                cut.append((e, s))
+        if len(cut) == 1:
+            run_block[r] = cut[0][1]
+            continue
+        run_block[r] = None
+        members = order[bounds[r]:bounds[r + 1]]
+        # types of one mass need no split: one stands for all of them
+        one_mass = np.all(law.masses[members] == law.masses[members[0]])
+        before = 0
+        for e, s in cut:
+            if one_mass:
+                upto = np.array([e], types.multiplicity.dtype)
+            elif e < end - start:
+                upto = types.first_counts(members, e)
+            else:
+                upto = types.multiplicity[members]
+            share = upto - before
+            some = share > 0
+            pieces.append((members[:1] if one_mass else members[some], share[some], float(s)))
+            before = upto
+    if used > m:
+        raise ValueError(f"{used} preimages exceed M = {m}")
+    whole = np.flatnonzero(np.array([s is not None for s in run_block])[budget.codes])
+    run_size = np.array([s or 0 for s in run_block], dtype=float)
+    pieces.append((whole, types.multiplicity[whole], run_size[budget.codes[whole]]))
+    terms, counts = [], []
+    while pieces:  # each piece is dropped once its terms are taken
+        members, count, block = pieces.pop()
+        masses = law.masses[members]
+        positive = masses > 0.0  # a zero mass adds 0, also next to an inf power
+        if not positive.all():
+            count, masses = count[positive], masses[positive]
+        term = np.broadcast_to(block, positive.shape)[positive]
+        with np.errstate(over="ignore"):
+            np.power(term, rho, out=term)
+        term *= masses
+        terms.append(term)
+        counts.append(count)
+    return used, grouped_fsum(np.concatenate(terms), np.concatenate(counts))
 
 
 def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
@@ -342,21 +477,30 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     (mismatched design); the upper bound then carries Sundaresan's penalty
     Delta_{1/(1+rho)} between the two n-tuple laws in its exponent.
 
+    An i.i.d. row is computed on the C(n+k-1, k-1) type classes of the
+    n-tuples (TypeLaw, _type_encoder), never on the k^n-entry law; it is
+    the row the enumerated law gives, bit for bit, when the Renyi entropy
+    and the penalty sum the tuples with fsum.  A Markov row enumerates the
+    law (markov_joint).
+
     The inputs are checked in one order: rho, the alphabets, the tuple cap
-    on base^n, then M, and only then are the n-tuple laws built.
+    on base^n, then M, and only then are the n-tuple laws built.  The cap
+    still bounds i.i.d. rows, whose memory grows with the number of types,
+    not with k^n.
     delta = R - log2(Mtilde)/n is the finite-n slack between the upper
     bound's exponent and the rate; it vanishes as n grows.
     """
     _rho_order(rho)
-    if isinstance(source, MarkovSource):
-        letters, joint = source.initial, markov_joint
-    else:
-        letters, joint = source, iid_joint
+    letters = source.initial if isinstance(source, MarkovSource) else source
     if design is not None:
         _check_alphabets(letters, design)
     _check_cap(letters.size, n, cap)
     rate_fr = as_rate(rate)
     m = _description_count(rate_fr, n, letters.size)
-    law = joint(source, n, cap)
-    design_law = None if design is None else iid_joint(design, n, cap)
-    return _report(law, rho, m, design_law, n, float(rate_fr))[0]
+    if isinstance(source, MarkovSource):
+        return _report(markov_joint(source, n, cap), rho, m, None, n, float(rate_fr))[0]
+    types = IidTypes(letters.size, n)
+    law = TypeLaw(source, types)
+    design_law = None if design is None else TypeLaw(design, types)
+    used, value = _type_encoder(law, law if design is None else design_law, rho, m)
+    return _row(law, rho, m, design_law, n, float(rate_fr), used, value)

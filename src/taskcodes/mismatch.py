@@ -24,10 +24,12 @@ import numpy as np
 from .errors import SupportViolationError
 from .probability import (
     DEFAULT_TUPLE_CAP,
+    IidTypes,
     Pmf,
+    TypeLaw,
     _check_alpha,
     _check_alphabets,
-    iid_joint,
+    _check_cap,
     kl_divergence,
     log2sumexp,
 )
@@ -36,21 +38,23 @@ from .probability import (
 def sundaresan_divergence(p, q, alpha: float) -> float:
     """Delta_alpha(p||q) in bits.
 
-    Accepts any two Pmfs over one alphabet, n-tuple laws included.  +inf
-    exactly when (0 < alpha < 1 and supp(p) is not contained in supp(q)) or
-    (alpha > 1 and the supports are disjoint).
+    Accepts any two Pmfs over one alphabet, n-tuple laws included, or two
+    TypeLaws on the same types, whose sums weight each type by its
+    multiplicity.  +inf exactly when (0 < alpha < 1 and supp(p) is not
+    contained in supp(q)) or (alpha > 1 and the supports are disjoint).
     """
     _check_alpha(alpha)
     _check_alphabets(p, q)
-    lp, lq = p.log_masses, q.log_masses
-    log_a = log2sumexp(alpha * lq)
-    log_b = log2sumexp(alpha * lp)
+    lp, lq, counts = p.log_masses, q.log_masses, p.multiplicity
+    log_a = log2sumexp(alpha * lq, counts)
+    log_b = log2sumexp(alpha * lp, counts)
     supp_p = np.isfinite(lp)
     supp_q = np.isfinite(lq)
     if alpha < 1.0 and np.any(supp_p & ~supp_q):
         return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
     both = supp_p & supp_q
-    log_c = log2sumexp(lp[both] + (alpha - 1.0) * lq[both])
+    log_c = log2sumexp(lp[both] + (alpha - 1.0) * lq[both],
+                       None if counts is None else counts[both])
     if math.isinf(log_c):
         # only reachable with alpha > 1 and disjoint supports
         return math.inf
@@ -117,10 +121,13 @@ def divergence_limits(p: Pmf, q: Pmf) -> DivergenceLimits:
 def product_additivity_check(p: Pmf, q: Pmf, alpha: float, n: int,
                              cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """True iff Delta_alpha(p^n || q^n) = n * Delta_alpha(p || q) within
-    1e-9 * n (infinities on both sides also count as equal)."""
+    1e-9 * n (infinities on both sides also count as equal).  The n-fold
+    laws are held on their type classes; n is still refused past the tuple
+    cap on |X|^n, as for an enumerated law."""
     single = sundaresan_divergence(p, q, alpha)
-    joint = sundaresan_divergence(iid_joint(p, n, cap), iid_joint(q, n, cap), alpha)
+    _check_cap(p.size, n, cap)
+    types = IidTypes(p.size, n)
+    joint = sundaresan_divergence(TypeLaw(p, types), TypeLaw(q, types), alpha)
     if math.isinf(single) or math.isinf(joint):
         return math.isinf(single) and math.isinf(joint)
     return abs(joint - n * single) <= 1e-9 * n
-

@@ -10,7 +10,6 @@ contains x no larger than min(lambda(x), k).
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -252,6 +251,29 @@ def subset_count_bound(mu, alphabet_size: int) -> int:
     return subset_count_bound_detail(mu, alphabet_size)[0]
 
 
+def greedy_runs(values, counts, size: int):
+    """Walk the greedy sweep of build_partition over runs of equal budgets.
+
+    values[r] is the budget of run r and counts[r] its element count, runs
+    in increasing budget order; size is the ground-set size k.  Runs with a
+    budget >= k go to the absorbing block and are not swept.  Yields
+    (b, start, end, head) for each swept run, which covers the positions
+    start..end-1 of the sweep: its blocks start at head, head + b, ... <
+    end, and head == end when the block before the run covers all of it.
+    Every block holds b elements, the budget of its first element, except
+    the last swept block, which stops at the end of the sweep.
+    """
+    start = i = 0
+    for b, count in zip(values, counts):
+        if b >= size:
+            return
+        end = start + count
+        yield b, start, end, min(i, end)
+        if i < end:
+            i += -(-(end - i) // b) * b  # the head after the run's last block
+        start = end
+
+
 def build_partition(budget: LambdaBudget) -> Partition:
     """Greedy budget-respecting partition.
 
@@ -261,25 +283,21 @@ def build_partition(budget: LambdaBudget) -> Partition:
     L(x) <= min(lambda(x), k) and uses at most subset_count_bound(mu, k)
     blocks.
 
-    The sweep walks the runs of equal budgets, not the blocks: inside a run
-    of budget b that starts at a block head, heads sit every b positions,
-    and the run's last block may reach into the runs after it.
+    The sweep walks the runs of equal budgets (greedy_runs), not the
+    blocks: inside a run of budget b that starts at a block head, heads sit
+    every b positions, and the run's last block may reach into the runs
+    after it.
     """
-    values, codes = budget.values, budget.codes
-    size = codes.size
-    order = np.argsort(codes, kind="stable")  # the (lambda(x), x) order
-    small = bisect.bisect_left(values, size)  # budgets below k are swept
-    counts = np.bincount(codes, minlength=len(values))[:small].tolist()
-    ends = list(itertools.accumulate(counts))
-    swept = ends[-1] if ends else 0
-    heads = np.zeros(swept, dtype=bool)
-    i = 0
-    for b, end in zip(values, ends):
-        if i < end:
-            heads[i:end:b] = True
-            i += -(-(end - i) // b) * b  # the head after the run's last block
+    size = budget.codes.size
+    order = np.argsort(budget.codes, kind="stable")  # the (lambda(x), x) order
+    counts = np.bincount(budget.codes).tolist()
+    heads = np.zeros(size, dtype=bool)
+    swept = 0
+    for b, _, end, head in greedy_runs(budget.values, counts, size):
+        heads[head:end:b] = True
+        swept = end
     labels = np.zeros(size, dtype=np.intp)  # the absorbing block is block 0
-    labels[order[:swept]] = np.cumsum(heads) - (1 if swept == size else 0)
+    labels[order[:swept]] = np.cumsum(heads[:swept]) - (1 if swept == size else 0)
     return Partition.from_labels(labels)
 
 

@@ -4,11 +4,20 @@ All logarithms are base 2 and all entropies are in bits.  Zero masses are
 represented as -inf in the log domain.  The law of an n-tuple is a Pmf over
 base^n symbols: its log-masses are summed letter by letter and only then
 exponentiated, so a tuple's mass underflows to 0 only when it is below the
-float range.  Divergences between two laws other than KL live in
-taskcodes.mismatch.
+float range.
+
+The law of n i.i.d. letters is also held on its type classes (IidTypes,
+TypeLaw): every tuple of one type has the same mass, so C(n+k-1, k-1)
+types stand for the k^n tuples.  Both forms use one canonical log-mass per
+type, the sum over the letters a present in x, in increasing a, of
+n_a(x) * log2 p_a, and both normalize by the correctly rounded total mass,
+so a type-class quantity equals its enumerated counterpart bit for bit when
+both sum with grouped_fsum.  Divergences between two laws other than KL
+live in taskcodes.mismatch.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,27 +28,100 @@ from .errors import AlphabetMismatchError, CapExceededError, InvalidOrderError
 #: Default ceiling on the number of tuples any enumeration may produce.
 DEFAULT_TUPLE_CAP = 1 << 22
 
+# iid_joint sorts tuple letters in blocks of at most about this many
+_CHUNK = 1 << 20
+
+# as_floats converts this many array entries to Python floats at a time
+_SLICE = 1 << 16
+
 # Inputs whose total mass is further than this from 1 are rejected instead
 # of silently rescaled.
 _SUM_WINDOW = 1e-9
 
 
-def log2sumexp(log_values: np.ndarray) -> float:
+# Veltkamp's splitting constant: v = hi + lo exactly, with hi on 27
+# significant bits and lo on 26, so c * hi and c * lo are exact for c < 2^26
+_SPLIT = float((1 << 26) + 1)
+
+
+def as_floats(values: np.ndarray):
+    """The entries of a 1-D float array as Python floats, converted a slice
+    at a time, so no list of them all is ever held."""
+    return itertools.chain.from_iterable(
+        values[i:i + _SLICE].tolist() for i in range(0, values.size, _SLICE))
+
+
+def grouped_fsum(values: np.ndarray, counts=None) -> float:
+    """The correctly rounded sum of counts[i] copies of values[i], equal to
+    math.fsum over the expanded terms (counts=None: one copy each).
+
+    Counts are nonnegative ints (an int array, or an object array of Python
+    ints).  With counts below 2^26 the values are scaled by a power of two
+    into [2^-969, 2^995], where each count * value splits into two exact
+    float products that fsum adds, and the sum is scaled back; a sum that
+    lands below the normal range then, or larger counts, are added as
+    exact integers instead.
+    """
+    values = np.asarray(values, dtype=float)
+    if counts is None:
+        return math.fsum(as_floats(values))
+    keep = counts > 0
+    if not keep.all():
+        values, counts = values[keep], counts[keep]
+    if not np.isfinite(values).all():
+        return math.fsum(as_floats(values))  # an inf or nan decides the sum
+    # the least and the largest magnitude of a nonzero value
+    least = min(np.min(values, where=values > 0.0, initial=math.inf),
+                -np.max(values, where=values < 0.0, initial=-math.inf))
+    most = max(np.max(values, initial=0.0), -np.min(values, initial=0.0))
+    shift = max(0, -968 - math.frexp(least)[1]) if least < math.inf else 0
+    if (counts.dtype != object and counts.max(initial=0) < 1 << 26
+            and most <= 2.0 ** (995 - shift)):
+        split = (counts & (counts - 1)).any()  # else powers of two: c * v is exact
+
+        def products():
+            for i in range(0, values.size, _SLICE):
+                scaled = np.ldexp(values[i:i + _SLICE], shift)
+                c = counts[i:i + _SLICE].astype(float)
+                if split:
+                    high = scaled * _SPLIT
+                    high -= high - scaled
+                    yield (c * high).tolist()
+                    scaled -= high
+                yield (c * scaled).tolist()
+
+        total = math.ldexp(math.fsum(itertools.chain.from_iterable(products())), -shift)
+        if shift == 0 or abs(total) >= 2.0 ** -1022:
+            return total
+    # exact: every finite float is an integer multiple of 2^-1074
+    total = 0
+    for v, c in zip(values.tolist(), counts.tolist()):
+        num, den = v.as_integer_ratio()
+        total += c * num << (1075 - den.bit_length())
+    return total / (1 << 1074)
+
+
+def log2sumexp(log_values: np.ndarray, counts=None) -> float:
     """Return log2(sum(2**v for v in log_values)), stable for large spreads.
 
     Entries of -inf contribute nothing; an all--inf input returns -inf.
+    With counts, entry i stands for counts[i] equal entries and the sum is
+    grouped_fsum's correctly rounded one; without, numpy's pairwise sum.
     """
     arr = np.asarray(log_values, dtype=float)
     finite = np.isfinite(arr)
     if not finite.all():
         arr = arr[finite]
+        if counts is not None:
+            counts = counts[finite]
     if arr.size == 0:
         return -math.inf
     top = float(arr.max())
     # one temporary the size of the input: a joint law's can be 32 MB
     terms = arr - top
     np.exp2(terms, out=terms)
-    return top + math.log2(float(terms.sum()))
+    total = float(terms.sum()) if counts is None else grouped_fsum(terms, counts)
+    return top + math.log2(total)
 
 
 def _log2sumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -92,6 +174,15 @@ def _check_alphabets(p, q) -> None:
         )
 
 
+def _with_logs(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """masses and their log2, both read-only."""
+    with np.errstate(divide="ignore"):
+        logs = np.log2(masses)
+    masses.flags.writeable = False
+    logs.flags.writeable = False
+    return masses, logs
+
+
 class Pmf:
     """A probability mass function over the dense alphabet 0..k-1.
 
@@ -114,12 +205,19 @@ class Pmf:
                 f"masses sum to {total!r}; expected 1 within {_SUM_WINDOW}"
             )
         arr /= total
-        with np.errstate(divide="ignore"):
-            logs = np.log2(arr)
-        arr.flags.writeable = False
-        logs.flags.writeable = False
-        self.masses = arr
-        self.log_masses = logs
+        self.masses, self.log_masses = _with_logs(arr)
+
+    #: each symbol is one outcome (a TypeLaw's symbols stand for several)
+    multiplicity = None
+
+    @classmethod
+    def _normalized(cls, raw: np.ndarray) -> "Pmf":
+        """The Pmf of raw / (the correctly rounded sum of raw), with no
+        checks and no second normalization."""
+        pmf = cls.__new__(cls)
+        raw /= grouped_fsum(raw)
+        pmf.masses, pmf.log_masses = _with_logs(raw)
+        return pmf
 
     @property
     def size(self) -> int:
@@ -180,10 +278,11 @@ def _check_cap(base: int, n: int, cap: int) -> None:
 def renyi_entropy(dist, alpha: float) -> float:
     """Renyi entropy of order alpha in bits: (1/(1-alpha)) * log2 sum p^alpha.
 
-    Accepts any object with a ``log_masses`` attribute, such as a Pmf.
+    Accepts a Pmf, or a TypeLaw, whose sum weights each type by its
+    multiplicity.
     """
     _check_alpha(alpha)
-    return log2sumexp(alpha * dist.log_masses) / (1.0 - alpha)
+    return log2sumexp(alpha * dist.log_masses, dist.multiplicity) / (1.0 - alpha)
 
 
 def renyi_rho(dist, rho: float) -> float:
@@ -194,14 +293,214 @@ def renyi_rho(dist, rho: float) -> float:
 
 def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
     """The n-fold product law of p, a Pmf over k^n symbols (k = p.size):
-    tuple (x1, ..., xn) is symbol x1*k^(n-1) + ... + xn."""
+    tuple (x1, ..., xn) is symbol x1*k^(n-1) + ... + xn.
+
+    Each tuple gets the canonical log-mass of its type (see the module
+    docstring), taken from its sorted letters, and the masses are divided by
+    their correctly rounded total: the enumerated form of TypeLaw.  Tuples
+    are handled in blocks, so no k^n x n array is held."""
     _check_cap(p.size, n, cap)
-    if p.size == 1:
+    k = p.size
+    if k == 1:
         return p  # the point mass, at any n
-    acc = p.log_masses.copy()
-    for _ in range(n - 1):
-        acc = (acc[:, None] + p.log_masses[None, :]).ravel()
-    return Pmf(np.exp2(acc, out=acc))
+    # tuples go in blocks of k^r: inside one the first n - r letters are
+    # fixed and the last r run through the same pattern
+    r = 1
+    while r < n and k ** (r + 1) * n <= _CHUNK:
+        r += 1
+    letters = np.empty((k ** r, n), dtype=np.min_scalar_type(k - 1))
+    letters[:, n - r:] = _digits(np.arange(k ** r), k, r)
+    acc = np.empty(k ** n)
+    for block in range(k ** (n - r)):
+        letters[:, :n - r] = _digits(np.array([block]), k, n - r)
+        run_sorted = np.sort(letters, axis=1)
+        # count * log2 p_a at the end of each run of equal letters
+        sums = np.zeros(len(letters))
+        run = np.zeros(len(letters))
+        for i in range(n):
+            run += 1.0
+            terms = run * p.log_masses[run_sorted[:, i]]
+            if i + 1 < n:
+                ends = run_sorted[:, i] != run_sorted[:, i + 1]
+                sums += np.where(ends, terms, 0.0)
+                run[ends] = 0.0
+            else:
+                sums += terms
+        acc[block * len(letters):(block + 1) * len(letters)] = sums
+    return Pmf._normalized(np.exp2(acc, out=acc))
+
+
+def _digits(values: np.ndarray, k: int, width: int) -> np.ndarray:
+    """The base-k digits of each value, most significant first, as rows."""
+    return values[:, None] // k ** np.arange(width - 1, -1, -1) % k
+
+
+class IidTypes:
+    """The types of n letters over the alphabet 0..k-1: the count vectors
+    that n-tuples can have, C(n+k-1, k-1) of them.
+
+    A type is held sparsely, as its (letter, count) pairs with positive
+    count in increasing letter order: `letters` and `counts` hold the pairs
+    of every type back to back.  Types come grouped by their number d of
+    distinct letters, `groups[d-1]` of them, so the types with d letters
+    form one T_d x d block of the entry arrays (`entries` finds a type's
+    pairs); no T x k array is ever built.  `multiplicity[t]` is the exact
+    number of tuples of type t, n!/prod(counts!): int64 while n * k^n stays
+    below 2^62 (first_counts multiplies a count of tuples by a letter
+    count), Python ints (an object array) past it.
+    """
+
+    __slots__ = ("k", "n", "letters", "counts", "groups", "multiplicity")
+
+    def __init__(self, k: int, n: int) -> None:
+        if k < 1 or n < 1:
+            raise ValueError("need a nonempty alphabet and a positive block length")
+        self.k, self.n = k, n
+        small = n * (k - 1).bit_length() + n.bit_length() < 62  # n * k^n < 2^62
+        letters, counts, mults = [], [], []
+        for d in range(1, min(k, n) + 1):
+            chosen = _combinations(k, d).astype(np.min_scalar_type(k - 1))
+            # n split into d positive parts at d-1 cuts among 1..n-1
+            cuts = _combinations(n - 1, d - 1) + 1
+            edges = np.column_stack((np.zeros(len(cuts), np.intp), cuts,
+                                     np.full(len(cuts), n, np.intp)))
+            parts = np.diff(edges, axis=1).astype(np.min_scalar_type(n))
+            letters.append(np.repeat(chosen, len(parts), axis=0).ravel())
+            block = np.tile(parts, (len(chosen), 1))
+            counts.append(block.ravel())
+            mult = np.ones(len(block), dtype=np.int64 if small else object)
+            filled = block[:, 0].astype(mult.dtype)
+            for j in range(1, d):  # n!/prod(c!) = prod_j C(c_1+...+c_j, c_j)
+                filled += block[:, j]
+                mult *= _binomials(filled, block[:, j])
+            mults.append(mult)
+        self.letters = np.concatenate(letters)
+        self.counts = np.concatenate(counts)
+        self.multiplicity = np.concatenate(mults)
+        self.groups = tuple(m.size for m in mults)
+        for arr in (self.letters, self.counts, self.multiplicity):
+            arr.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        """The number of tuples, k^n."""
+        return self.k ** self.n
+
+    def __len__(self) -> int:
+        return int(self.multiplicity.size)
+
+    def log_masses(self, p: Pmf) -> np.ndarray:
+        """The canonical log-mass of each type under the letter law p,
+        before normalization."""
+        if p.size != self.k:
+            raise AlphabetMismatchError(f"alphabet sizes differ: {p.size} vs {self.k}")
+        terms = self.counts * p.log_masses[self.letters]
+        out = []
+        start = 0
+        for d, group in enumerate(self.groups, start=1):
+            block = terms[start:start + d * group].reshape(group, d)
+            start += d * group
+            acc = block[:, 0].copy()
+            for j in range(1, d):
+                acc += block[:, j]
+            out.append(acc)
+        return np.concatenate(out)
+
+    def entries(self, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first entry and the number d of entries of each of `types`."""
+        first_type = np.cumsum((0,) + self.groups)
+        first_entry = np.cumsum((0,) + tuple(d * g for d, g in enumerate(self.groups, 1)))
+        group = np.searchsorted(first_type[1:], types, side="right")
+        return first_entry[group] + (types - first_type[group]) * (group + 1), group + 1
+
+    def first_counts(self, members: np.ndarray, s: int) -> np.ndarray:
+        """How many of the first s tuples, in index order, of the union of
+        the classes of the types `members` fall in each of those classes.
+
+        The walk fixes the tuple's letters one position at a time.  With a
+        prefix fixed and `left` letters to go, a type whose remaining counts
+        are r has multinomial(r) completions, of which multinomial(r) *
+        r_a / left start with letter a.  At each position the letters are
+        taken in increasing order while their completions fit in s; the
+        first letter that does not fit becomes part of the prefix."""
+        members = np.asarray(members, dtype=np.intp)
+        completions = self.multiplicity[members].copy()
+        if s >= completions.sum():
+            return completions
+        starts, widths = self.entries(members)
+        owner = np.repeat(np.arange(members.size), widths)
+        entry = np.arange(owner.size) + np.repeat(starts - np.cumsum(widths) + widths, widths)
+        by_letter = np.argsort(self.letters[entry], kind="stable")
+        owner, entry = owner[by_letter], entry[by_letter]
+        letter = self.letters[entry].astype(np.intp)
+        remaining = self.counts[entry].astype(completions.dtype)
+        taken = np.zeros_like(completions)
+        live = np.ones(owner.size, dtype=bool)
+        for left in range(self.n, 0, -1):
+            if s == 0:
+                break
+            idx = np.flatnonzero(live)  # in letter order
+            ways = completions[owner[idx]] * remaining[idx] // left
+            below = np.cumsum(ways)
+            pick = int(letter[idx[int(np.argmax(below > s))]])  # its completions pass s
+            first, stop = np.searchsorted(letter[idx], [pick, pick + 1]).tolist()
+            np.add.at(taken, owner[idx[:first]], ways[:first])
+            if first:
+                s -= int(below[first - 1])
+            same = idx[first:stop]
+            keep = np.zeros(members.size, dtype=bool)
+            keep[owner[same]] = True
+            completions[owner[same]] = ways[first:stop]
+            remaining[same] -= 1
+            live &= keep[owner] & (remaining > 0)
+        return taken
+
+
+def _combinations(m: int, d: int) -> np.ndarray:
+    """All increasing d-tuples from range(m), as rows in lexicographic
+    order."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(d):
+        low = rows[:, -1] + 1 if rows.shape[1] else np.zeros(len(rows), np.intp)
+        fan = np.maximum(m - low, 0)
+        parent = np.repeat(np.arange(len(rows)), fan)
+        nxt = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan) + low[parent]
+        rows = np.column_stack((rows[parent], nxt))
+    return rows
+
+
+def _binomials(top: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """C(top, below) elementwise, in the dtype of top: int64 (from a table,
+    top <= 61 then) or Python ints."""
+    if top.dtype != object:
+        table = np.array([[math.comb(a, b) for b in range(int(top.max()) + 1)]
+                          for a in range(int(top.max()) + 1)], dtype=np.int64)
+        return table[top.astype(np.intp), below]
+    return np.array(list(map(math.comb, top.tolist(), below.tolist())), dtype=object)
+
+
+class TypeLaw:
+    """The law of n i.i.d. letters of a Pmf held on the classes of an
+    IidTypes: `masses[t]` and `log_masses[t]` are the mass of each tuple of
+    type t, as iid_joint gives it, and `multiplicity` counts those tuples.
+    `size` is k^n, the number of tuples; sums over the law weight each type
+    by its multiplicity (grouped_fsum)."""
+
+    __slots__ = ("types", "masses", "log_masses")
+
+    def __init__(self, p: Pmf, types: IidTypes) -> None:
+        self.types = types
+        raw = np.exp2(types.log_masses(p))
+        raw /= grouped_fsum(raw, types.multiplicity)
+        self.masses, self.log_masses = _with_logs(raw)
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        return self.types.multiplicity
+
+    @property
+    def size(self) -> int:
+        return self.types.size
 
 
 def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from fractions import Fraction
@@ -216,6 +217,20 @@ class TestFloorPow2:
             m = floor_pow2(e)
             assert m ** e.denominator <= 2 ** e.numerator < (m + 1) ** e.denominator
 
+    @pytest.mark.parametrize("above", [False, True])
+    def test_retries_when_the_power_is_near_an_integer(self, monkeypatch, above):
+        # 40-decimal exponents next to log2(3) put 2^e within 1e-39 of 3,
+        # far inside the error bound of the first pass (80 guard bits): only
+        # a retry at more guard bits decides between 2 and 3
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            digits = int(decimal.Decimal(3).ln() / decimal.Decimal(2).ln() * 10**40)
+        passes = []
+        opened = decimal.localcontext
+        monkeypatch.setattr(decimal, "localcontext", lambda: passes.append(1) or opened())
+        assert floor_pow2(Fraction(digits + above, 10**40)) == 2 + above
+        assert len(passes) > 1
+
     @pytest.mark.parametrize("exponent,expected", [
         (Fraction(1234567, 10**6), 2),
         (Fraction(14, 10**6), 1),
@@ -301,10 +316,10 @@ class TestBlockExperiment:
 
     def test_m_is_refused_before_any_law_is_built(self, monkeypatch):
         # M needs only n and |X|: a rate too small for n = 22 is refused
-        # without building the 2^22-entry law
+        # without building the 2^22-entry law or its types
         def refuse(*args):
             raise AssertionError("an n-tuple law was built")
-        monkeypatch.setattr("taskcodes.coding.iid_joint", refuse)
+        monkeypatch.setattr("taskcodes.coding.IidTypes", refuse)
         monkeypatch.setattr("taskcodes.coding.markov_joint", refuse)
         with pytest.raises(RateTooSmallError):
             block_experiment(Pmf([0.9, 0.1]), 22, "0.1", 1.0)

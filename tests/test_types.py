@@ -1,0 +1,244 @@
+"""i.i.d. rows on type classes against the enumerated k^n-entry laws.
+
+The enumerated row below is the oracle: the laws come from iid_joint, the
+encoder from build_encoder and its moment from moment, over every tuple,
+and the Renyi entropy and Sundaresan's penalty sum the tuples with fsum
+(each tuple weighted 1).  The type path must give the same row bit for bit.
+"""
+import itertools
+import math
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from taskcodes import Pmf, block_experiment, build_encoder, iid_joint, moment
+from taskcodes.cli import main
+from taskcodes.coding import _description_count, _row, _type_encoder
+from taskcodes.errors import RateTooSmallError
+from taskcodes.mismatch import product_additivity_check, sundaresan_divergence
+from taskcodes.probability import IidTypes, TypeLaw, grouped_fsum
+from conftest import rng
+
+MAX_N = {2: 20, 3: 13, 4: 8}
+
+
+def tuples_of(law):
+    """An enumerated law whose sums run over its tuples with fsum."""
+    return SimpleNamespace(masses=law.masses, log_masses=law.log_masses, size=law.size,
+                           multiplicity=np.ones(law.size, dtype=np.int64))
+
+
+def enumerated_row(p, n, rate, rho, design=None):
+    law = iid_joint(p, n)
+    design_law = None if design is None else iid_joint(design, n)
+    m = _description_count(rate, n, p.size)
+    part = build_encoder(law if design is None else design_law, rho, m)
+    return _row(tuples_of(law), rho, m, None if design is None else tuples_of(design_law),
+                n, float(rate), part.num_blocks, moment(law, part, rho))
+
+
+def fields(report):
+    """The report's fields, with nan made comparable."""
+    return [("nan" if isinstance(v, float) and math.isnan(v) else v)
+            for v in vars(report).values()]
+
+
+# weights 0..6 give zero masses and letters of equal mass (types of equal
+# mass inside one budget run); floats give generic masses
+WEIGHTS = st.one_of(st.integers(0, 6), st.floats(0.05, 1.0))
+
+
+@st.composite
+def rows(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, MAX_N[k]))
+
+    def law():
+        w = draw(st.lists(WEIGHTS, min_size=k, max_size=k).filter(any))
+        return Pmf([x / sum(w) for x in w])
+
+    p = law()
+    design = law() if draw(st.booleans()) else None
+    # rates from half to one and a half times log2 k, to two decimals
+    rate = Fraction(f"{math.log2(k) * draw(st.integers(50, 150)) / 100:.2f}")
+    return p, n, rate, draw(st.sampled_from([0.5, 1.0, 2.0])), design
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows())
+@example((Pmf([0.9, 0.1]), 20, Fraction("0.9"), 1.0, Pmf([0.8, 0.2])))
+@example((Pmf([0.5, 0.3, 0.2]), 13, Fraction("1.4"), 1.0, Pmf([0.6, 0.3, 0.1])))
+@example((Pmf([0.5, 0.3, 0.2]), 11, Fraction("1.2"), 1.0, None))
+@example((Pmf([0.4, 0.3, 0.3, 0.0]), 8, Fraction("1.9"), 2.0, Pmf([0.25] * 4)))
+@example((Pmf([0.4, 0.3, 0.3, 0.0]), 8, Fraction("1.9"), 0.5, None))
+def test_type_row_is_the_enumerated_row(row):
+    p, n, rate, rho, design = row
+    try:
+        want = enumerated_row(p, n, rate, rho, design)
+    except RateTooSmallError:
+        with pytest.raises(RateTooSmallError):
+            block_experiment(p, n, rate, rho, design)
+        return
+    assert fields(block_experiment(p, n, rate, rho, design)) == fields(want)
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 1), (2, 6), (3, 5), (4, 4), (6, 3)])
+def test_types_count_every_tuple_once(k, n):
+    types = IidTypes(k, n)
+    assert len(types) == math.comb(n + k - 1, k - 1)
+    assert int(types.multiplicity.sum()) == k ** n
+    starts, widths = types.entries(np.arange(len(types)))
+    seen = {tuple(zip(types.letters[a:a + d].tolist(), types.counts[a:a + d].tolist()))
+            for a, d in zip(starts.tolist(), widths.tolist())}
+    assert len(seen) == len(types)
+    assert (starts + widths)[-1] == types.letters.size
+
+
+def test_multiplicities_past_int64_are_exact():
+    types = IidTypes(2, 70)
+    assert types.multiplicity.dtype == object
+    assert sum(types.multiplicity.tolist()) == 2 ** 70
+    assert max(types.multiplicity.tolist()) == math.comb(70, 35)
+
+
+def count_vector(types, t, k):
+    (a,), (d,) = types.entries(np.array([t]))
+    return tuple(np.bincount(np.repeat(types.letters[a:a + d], types.counts[a:a + d]),
+                             minlength=k).tolist())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_walk_is_a_sort_by_index(seed):
+    # the run's tuples, sorted by index, cut after s: counts per type
+    r = rng(131, seed)
+    k, n = r.randint(1, 4), r.randint(1, 6)
+    types = IidTypes(k, n)
+    members = sorted(r.sample(range(len(types)), r.randint(1, len(types))))
+    by_counts = {count_vector(types, t, k): t for t in members}
+    run = [x for x in itertools.product(range(k), repeat=n)
+           if tuple(np.bincount(x, minlength=k).tolist()) in by_counts]
+    for s in {0, 1, r.randint(0, len(run)), len(run) - 1, len(run)}:
+        want = dict.fromkeys(members, 0)
+        for x in run[:s]:
+            want[by_counts[tuple(np.bincount(x, minlength=k).tolist())]] += 1
+        got = types.first_counts(np.array(members), s)
+        assert got.tolist() == [want[t] for t in members]
+
+
+def test_rank_walk_past_int64():
+    # the first 2^69 + 12345 tuples of 70 bits: every tuple 0y (C(69, j)
+    # of them with j ones), then 1y for the 69-bit numbers y < 12345
+    types = IidTypes(2, 70)
+    got = types.first_counts(np.arange(len(types)), 2 ** 69 + 12345)
+    for t, taken in enumerate(got.tolist()):
+        ones = count_vector(types, t, 2)[1]
+        tail = sum(1 for y in range(12345) if y.bit_count() + 1 == ones)
+        assert taken == math.comb(69, ones) + tail
+
+
+@pytest.mark.parametrize("masses,n", [([0.9, 0.1], 9), ([0.5, 0.3, 0.2], 6),
+                                      ([0.4, 0.0, 0.35, 0.25], 4), ([1.0], 3)])
+def test_iid_joint_gives_each_tuple_its_canonical_type_mass(masses, n):
+    # the sum over the letters present in x, in increasing letter order, of
+    # n_a(x) * log2 p_a; then one correctly rounded total for every tuple
+    p = Pmf(masses)
+    law = iid_joint(p, n)
+    types = IidTypes(p.size, n)
+    typed = TypeLaw(p, types)
+    by_counts = {count_vector(types, t, p.size): t for t in range(len(types))}
+    logs = []
+    for x, letters in enumerate(itertools.product(range(p.size), repeat=n)):
+        counts = np.bincount(letters, minlength=p.size)
+        log_mass = 0.0
+        for a in range(p.size):
+            if counts[a]:
+                log_mass += float(counts[a]) * float(p.log_masses[a])
+        logs.append(log_mass)
+        if p.size > 1:
+            assert law.masses[x] == typed.masses[by_counts[tuple(counts.tolist())]]
+    raw = np.exp2(logs)
+    if p.size > 1:
+        assert law.masses.tolist() == (raw / math.fsum(raw.tolist())).tolist()
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(-1e290, 1e290), st.floats(0, 1e-300), st.floats(-1e-290, 1e-300)),
+    st.one_of(st.integers(0, 9), st.integers(0, 10 ** 12))), min_size=1, max_size=12))
+def test_grouped_fsum_is_fsum_over_the_copies(pairs):
+    values = np.array([v for v, _ in pairs])
+    counts = np.array([c for _, c in pairs])
+    # fsum of c copies of v: fsum is exact on partial sums, so the copies
+    # can be added as exact products c * v held as Fractions
+    want = float(sum((Fraction(v) * c for v, c in pairs), Fraction(0)))
+    got = grouped_fsum(values, counts)
+    assert got == want
+    assert grouped_fsum(values, counts.astype(object)) == want
+    if counts.sum() < 100:
+        assert got == math.fsum(np.repeat(values, counts).tolist())
+
+
+def test_an_iid_row_never_enumerates(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n-tuple law was enumerated")
+    for module in ("taskcodes.probability", "taskcodes.coding", "taskcodes.mismatch"):
+        monkeypatch.setattr(f"{module}.iid_joint", refuse, raising=False)
+    bern, skew = Pmf([0.9, 0.1]), Pmf([0.8, 0.2])
+    for design in (None, skew):
+        rep = block_experiment(bern, 20, "0.9", 1.0, design)
+        assert rep.lower <= rep.moment <= rep.upper
+    assert product_additivity_check(bern, skew, 0.5, 20)
+    (tmp_path / "bern.pmf").write_text("0.9\n0.1\n")
+    (tmp_path / "skew.pmf").write_text("0.8\n0.2\n")
+    for q in ([], ["--q", str(tmp_path / "skew.pmf")]):
+        assert main(["sweep", "--pmf", str(tmp_path / "bern.pmf"), *q, "--rate", "0.9",
+                     "--rho", "1", "--n", "18..20"]) == 0
+    assert capsys.readouterr().out.count("\n") == 8
+    # 2^40 tuples: past any enumeration, but only 41 types
+    rep = block_experiment(bern, 40, "0.9", 1.0, cap=1 << 41)
+    assert rep.lower <= rep.moment <= rep.upper
+    assert rep.used_count <= rep.description_count
+
+
+@pytest.mark.parametrize("p,q,n,rate", [
+    ([0.9, 0.1], [0.8, 0.2], 300, "0.9"),
+    ([0.5, 0.3, 0.2], [0.6, 0.3, 0.1], 60, "1.4"),
+    ([1 / 3] * 3, None, 80, "1.7"),
+])
+def test_rows_past_int64_counts(p, q, n, rate):
+    # past the default cap, tuple counts and multiplicities are Python ints;
+    # runs of one mass and runs split by the rank walk both occur
+    rep = block_experiment(Pmf(p), n, rate, 1.0, None if q is None else Pmf(q), cap=1 << 1100)
+    assert rep.lower <= rep.moment <= rep.upper
+    assert rep.used_count <= rep.description_count
+
+
+@pytest.mark.parametrize("p,q,n,rate", [
+    ([0.9, 0.1], None, 16, "0.9"),
+    ([0.5, 0.3, 0.2], [0.6, 0.3, 0.1], 9, "1.4"),
+    ([0.4, 0.3, 0.3, 0.0], [0.25] * 4, 6, "1.9"),
+    ([0.5, 0.25, 0.25], None, 10, "1.2"),
+])
+def test_python_int_counts_give_the_int64_row(p, q, n, rate):
+    # the Python-int path of rows past int64, run where int64 also works
+    types = IidTypes(len(p), n)
+    object.__setattr__(types, "multiplicity", types.multiplicity.astype(object))
+    law = TypeLaw(Pmf(p), types)
+    design = None if q is None else TypeLaw(Pmf(q), types)
+    m = _description_count(Fraction(rate), n, len(p))
+    used, value = _type_encoder(law, law if q is None else design, 1.0, m)
+    row = _row(law, 1.0, m, design, n, float(Fraction(rate)), used, value)
+    assert fields(row) == fields(block_experiment(Pmf(p), n, rate, 1.0,
+                                                  None if q is None else Pmf(q)))
+
+
+def test_type_divergence_is_the_enumerated_one():
+    p, q = Pmf([0.5, 0.3, 0.2]), Pmf([0.2, 0.2, 0.6])
+    types = IidTypes(3, 7)
+    for alpha in (0.25, 0.5, 2.0):
+        assert (sundaresan_divergence(TypeLaw(p, types), TypeLaw(q, types), alpha)
+                == sundaresan_divergence(tuples_of(iid_joint(p, 7)),
+                                         tuples_of(iid_joint(q, 7)), alpha))
