@@ -40,6 +40,7 @@ from .probability import (
     _rho_order,
     as_floats,
     grouped_fsum,
+    iid_joint,
     markov_joint,
     renyi_rho,
 )
@@ -115,7 +116,8 @@ def _budgets(law, rho: float, m: int) -> tuple[list, np.ndarray]:
     masses, index = _distinct(law.masses)
     budgets = np.fromiter((math.inf if mass <= 0.0 else mass ** (-rt)
                            for mass in as_floats(masses)), float, masses.size)
-    budgets *= beta
+    with np.errstate(over="ignore"):  # an inf budget is refused below
+        budgets *= beta
     np.maximum(np.ceil(budgets, out=budgets), 1.0, out=budgets)  # integers, as floats
     if np.isinf(budgets[int(masses[0] <= 0.0):]).any():  # a zero mass comes first
         raise OverflowError("cannot convert float infinity to integer")
@@ -430,19 +432,12 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
             continue
         run_block[r] = None
         members = order[bounds[r]:bounds[r + 1]]
-        # types of one mass need no split: one stands for all of them
-        one_mass = np.all(law.masses[members] == law.masses[members[0]])
         before = 0
         for e, s in cut:
-            if one_mass:
-                upto = np.array([e], types.multiplicity.dtype)
-            elif e < end - start:
-                upto = types.first_counts(members, e)
-            else:
-                upto = types.multiplicity[members]
+            upto = types.first_counts(members, e)
             share = upto - before
             some = share > 0
-            pieces.append((members[:1] if one_mass else members[some], share[some], float(s)))
+            pieces.append((members[some], share[some], float(s)))
             before = upto
     if used > m:
         raise ValueError(f"{used} preimages exceed M = {m}")
@@ -481,7 +476,7 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     n-tuples (TypeLaw, _type_encoder), never on the k^n-entry law; it is
     the row the enumerated law gives, bit for bit, when the Renyi entropy
     and the penalty sum the tuples with fsum.  A Markov row enumerates the
-    law (markov_joint).
+    law (markov_joint), and the design's law with it (iid_joint).
 
     The inputs are checked in one order: rho, the alphabets, the tuple cap
     on base^n, then M, and only then are the n-tuple laws built.  The cap
@@ -498,7 +493,8 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     rate_fr = as_rate(rate)
     m = _description_count(rate_fr, n, letters.size)
     if isinstance(source, MarkovSource):
-        return _report(markov_joint(source, n, cap), rho, m, None, n, float(rate_fr))[0]
+        design_law = None if design is None else iid_joint(design, n, cap)
+        return _report(markov_joint(source, n, cap), rho, m, design_law, n, float(rate_fr))[0]
     types = IidTypes(letters.size, n)
     law = TypeLaw(source, types)
     design_law = None if design is None else TypeLaw(design, types)

@@ -427,6 +427,9 @@ class IidTypes:
         completions = self.multiplicity[members].copy()
         if s >= completions.sum():
             return completions
+        if members.size == 1:  # the first s tuples of one class
+            completions[0] = s
+            return completions
         starts, widths = self.entries(members)
         owner = np.repeat(np.arange(members.size), widths)
         entry = np.arange(owner.size) + np.repeat(starts - np.cumsum(widths) + widths, widths)

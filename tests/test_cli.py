@@ -140,6 +140,16 @@ class TestConstruct:
         assert code == 2
         assert "log2|X| + 2 = 4" in err
 
+    def test_budget_overflow_exit_2(self, capsys, files):
+        # beta * mass^(-1/(1+rho)) overflows though the power does not: one
+        # error line, no numpy overflow warning
+        path = files["tmp"] / "tiny.pmf"
+        path.write_text("2.3e-308\n0.5\n0.5\n")
+        code, err = run_error(capsys, ["construct", "--pmf", str(path),
+                                       "--M", "4", "--rho", "1e-6"])
+        assert code == 2
+        assert err == "error: numeric overflow: cannot convert float infinity to integer\n"
+
     def test_partition_roundtrip(self, capsys, files):
         code, out = run(capsys, ["construct", "--pmf", str(files["bern01"]),
                                  "--M", "4", "--rho", "1"])

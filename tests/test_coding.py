@@ -3,6 +3,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from taskcodes import (
@@ -10,6 +11,7 @@ from taskcodes import (
     AlphabetTooLargeError,
     DescriptionCountTooSmallError,
     InvalidOrderError,
+    MarkovSource,
     Partition,
     Pmf,
     RateTooSmallError,
@@ -20,6 +22,7 @@ from taskcodes import (
     iid_joint,
     lambda_from_law,
     lower_bound,
+    markov_joint,
     moment,
     renyi_rho,
     upper_bound,
@@ -313,6 +316,21 @@ class TestBlockExperiment:
     def test_description_count_beyond_float_range(self, rate):
         with pytest.raises(OverflowError, match="exceeds the float range"):
             block_experiment(Pmf([0.5, 0.5]), 4, rate, 1.0)
+
+    def test_markov_row_with_a_design(self):
+        # the encoder is built for n i.i.d. letters of the design and scored
+        # under the Markov law; the upper bound carries the penalty
+        src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]]))
+        q = Pmf([0.7, 0.3])
+        rep = block_experiment(src, 8, "0.9", 1.0, design=q)
+        p8, q8 = markov_joint(src, 8), iid_joint(q, 8)
+        m = rep.description_count
+        part = build_encoder(q8, 1.0, m)
+        assert (rep.used_count, rep.moment) == (part.num_blocks, moment(p8, part, 1.0))
+        assert rep.upper == upper_bound(p8, m, 1.0, design=q8)
+        assert rep.upper > block_experiment(src, 8, "0.9", 1.0).upper
+        assert rep.csv_row() == ("8,0.9,1,147,64,3.5524247,0.365218307483,"
+                                 "19.4814631342,34.25,0.26274598963")
 
     def test_m_is_refused_before_any_law_is_built(self, monkeypatch):
         # M needs only n and |X|: a rate too small for n = 22 is refused
