@@ -6,10 +6,12 @@ sum_x P(x) |f^-1(f(x))|^rho.  An encoder is held as the Partition of X into
 its nonempty preimages: block b carries description b + 1, and the ids
 above the number of blocks stay unused.  The constructed encoder derives
 per-element cardinality budgets from the law (size roughly proportional to
-P(x)^(-1/(1+rho))) and feeds them to the greedy partition builder.  The
-moment of any encoder is sandwiched between two exponentials in the Renyi
-entropy of order 1/(1+rho); an encoder designed for a mismatched law pays
-Sundaresan's divergence in the upper bound's exponent.
+P(x)^(-1/(1+rho))) and feeds them to the greedy partition builder, whose
+walk belongs to partitions; i.i.d. rows on type classes read their block
+sizes from that walk (greedy_pieces).  The moment of any encoder is
+sandwiched between two exponentials in the Renyi entropy of order
+1/(1+rho); an encoder designed for a mismatched law pays Sundaresan's
+divergence in the upper bound's exponent.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .errors import (
     RateTooSmallError,
 )
 from .mismatch import sundaresan_divergence
-from .partitions import LambdaBudget, Partition, build_partition, greedy_runs
+from .partitions import LambdaBudget, Partition, build_partition, greedy_pieces
 from .probability import (
     DEFAULT_TUPLE_CAP,
     IidTypes,
@@ -38,7 +40,6 @@ from .probability import (
     _check_cap,
     _check_rho,
     _rho_order,
-    as_floats,
     grouped_fsum,
     iid_joint,
     markov_joint,
@@ -77,15 +78,6 @@ class MomentReport:
         ])
 
 
-def _check_m(m: int, alphabet_size: int) -> float:
-    threshold = math.log2(alphabet_size) + 2.0
-    if not m > threshold:
-        raise DescriptionCountTooSmallError(
-            f"need M > log2|X| + 2 = {threshold:.6g}, got M = {m}"
-        )
-    return threshold
-
-
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of an array, and the index of each entry
     among them.  (By hand: np.unique imports numpy.ma, 1.2 MB, on first
@@ -99,38 +91,37 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], ranks
 
 
-def _budgets(law, rho: float, m: int) -> tuple[list, np.ndarray]:
-    """The distinct budgets of lambda_from_law in increasing order, and the
-    index of each symbol's budget among them.  `law` is a Pmf, or a
-    TypeLaw whose symbols are types: beta then weights each type by its
-    multiplicity, to the bits of the enumerated law."""
-    rt = _rho_order(rho)
-    threshold = _check_m(m, law.size)
-    supp = law.masses > 0.0
-    counts = law.multiplicity
-    beta = 2.0 * grouped_fsum(law.masses[supp] ** rt,
-                              None if counts is None else counts[supp]) / (m - threshold)
-    # One scalar power per distinct mass, never np.power on the array: the
-    # vectorized power can differ from the scalar one in the last bit, and
-    # the ceil can turn that bit into a different budget.
-    masses, index = _distinct(law.masses)
-    budgets = np.fromiter((math.inf if mass <= 0.0 else mass ** (-rt)
-                           for mass in as_floats(masses)), float, masses.size)
-    with np.errstate(over="ignore"):  # an inf budget is refused below
-        budgets *= beta
-    np.maximum(np.ceil(budgets, out=budgets), 1.0, out=budgets)  # integers, as floats
-    if np.isinf(budgets[int(masses[0] <= 0.0):]).any():  # a zero mass comes first
-        raise OverflowError("cannot convert float infinity to integer")
-    del masses
-    values, inverse = _distinct(budgets)
-    return [b if b == math.inf else int(b) for b in values.tolist()], inverse[index]
-
-
-def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
+def lambda_from_law(p: Pmf | TypeLaw, rho: float, m: int) -> LambdaBudget:
     """Budgets ceil(beta * P(x)^(-1/(1+rho))) (inf on zero mass), with beta
     chosen just large enough that the greedy builder fits in M blocks:
-    beta = 2 * sum_x P(x)^(1/(1+rho)) / (M - log2|X| - 2)."""
-    return LambdaBudget.from_index(*_budgets(p, rho, m))
+    beta = 2 * sum_x P(x)^(1/(1+rho)) / (M - log2|X| - 2).
+
+    `p` is a Pmf, or a TypeLaw whose symbols are types: beta then weights
+    each type by its multiplicity, to the bits of the enumerated law."""
+    rt = _rho_order(rho)
+    threshold = math.log2(p.size) + 2.0
+    if not m > threshold:
+        raise DescriptionCountTooSmallError(
+            f"need M > log2|X| + 2 = {threshold:.6g}, got M = {m}"
+        )
+    beta = 2.0 * grouped_fsum(p.masses ** rt, p.multiplicity) / (m - threshold)
+    # np.power can differ from the scalar power in the last bit, and the
+    # ceil can turn that bit into another budget: a budget within 2^-40 of
+    # itself from an integer, or not finite, takes the scalar power.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        budgets = p.masses ** -rt
+        budgets *= beta  # an inf budget is refused below
+        near = np.flatnonzero(~(np.abs(budgets - np.rint(budgets)) > budgets * 2.0 ** -40))
+    if near.size:  # once per distinct mass
+        masses, index = _distinct(p.masses[near])
+        budgets[near] = np.array([math.inf if mass <= 0.0 else mass ** (-rt) * beta
+                                  for mass in masses.tolist()])[index]
+    np.maximum(np.ceil(budgets, out=budgets), 1.0, out=budgets)  # integers, as floats
+    if np.isinf(budgets[p.masses > 0.0]).any():
+        raise OverflowError("cannot convert float infinity to integer")
+    values, index = _distinct(budgets)
+    return LambdaBudget.from_index([b if b == math.inf else int(b) for b in values.tolist()],
+                                   index)
 
 
 def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
@@ -167,23 +158,13 @@ def _exp2(exponent: float) -> float:
     return 2.0 ** exponent
 
 
-def _lower(h: float, m: int, rho: float) -> float:
-    return _exp2(rho * (h - math.log2(m)))
-
-
-def _upper(h: float, mt: float, rho: float) -> float:
-    if mt <= 0.0:
-        return math.inf
-    return 1.0 + _exp2(rho * (h - math.log2(mt)))
-
-
 def lower_bound(p, m: int, rho: float) -> float:
     """Converse bound 2^(rho*(H_{1/(1+rho)}(p) - log2 M)), valid for every
     encoder with M descriptions."""
     h = renyi_rho(p, rho)
     if m < 1:
         raise ValueError("M must be a positive integer")
-    return _lower(h, m, rho)
+    return _exp2(rho * (h - math.log2(m)))
 
 
 def m_tilde(m: int, alphabet_size: int) -> float:
@@ -199,7 +180,10 @@ def upper_bound(p, m: int, rho: float, design: Pmf | None = None) -> float:
     h = renyi_rho(p, rho)
     if design is not None:
         h += sundaresan_divergence(p, design, _rho_order(rho))
-    return _upper(h, m_tilde(m, p.size), rho)
+    mt = m_tilde(m, p.size)
+    if mt <= 0.0:
+        return math.inf
+    return 1.0 + _exp2(rho * (h - math.log2(mt)))
 
 
 def _grow(masks: np.ndarray, used: np.ndarray, first: int, last: int,
@@ -289,11 +273,7 @@ def as_rate(rate) -> Fraction:
     """Normalize a rate to an exact Fraction.  Strings and Fractions are
     taken verbatim; floats are rounded to 6 decimal places first so that
     floor(2^(nR)) is well defined."""
-    if isinstance(rate, Fraction):
-        return rate
-    if isinstance(rate, str):
-        return Fraction(rate)
-    if isinstance(rate, int):
+    if isinstance(rate, (Fraction, str, int)):
         return Fraction(rate)
     return Fraction(f"{float(rate):.6f}")
 
@@ -362,13 +342,10 @@ def _report(p: Pmf, rho: float, m: int, design: Pmf | None = None,
 def _row(p, rho: float, m: int, design, n: int, rate: float, used: int,
          value: float) -> MomentReport:
     """The report of an encoder with `used` blocks and moment `value` under
-    p, built with m descriptions for `design` (default p): lower_bound and
-    upper_bound(..., design) come from one Renyi entropy, and delta = rate -
-    log2(Mtilde)/n is nan without a rate.  p and design are Pmfs, or
-    TypeLaws on the same types."""
-    penalty = 0.0 if design is None else sundaresan_divergence(p, design, _rho_order(rho))
+    p (a Pmf or a TypeLaw), built with m descriptions for `design` (default
+    p; a TypeLaw on the same types if p is one); delta = rate -
+    log2(Mtilde)/n is nan without a rate."""
     mt = m_tilde(m, p.size)
-    h = renyi_rho(p, rho)
     return MomentReport(
         n=n,
         rate=rate,
@@ -376,8 +353,8 @@ def _row(p, rho: float, m: int, design, n: int, rate: float, used: int,
         description_count=m,
         used_count=used,
         moment=value,
-        lower=_lower(h, m, rho),
-        upper=_upper(h + penalty, mt, rho),
+        lower=lower_bound(p, m, rho),
+        upper=upper_bound(p, m, rho, design),
         m_tilde=mt,
         delta=rate - math.log2(mt) / n,
     )
@@ -387,76 +364,43 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     """N and the rho-th moment under `law` of build_encoder(design, rho, m)
     on the n-tuples, found on the type classes without enumerating them.
 
-    A type's tuples share one budget, so each budget run of the greedy
-    sweep is a union of type classes, ordered by tuple index inside the
-    run.  greedy_runs gives the run's blocks: at most three pieces of the
-    run differ in block size (the tail of the block before the run, the
-    run's own blocks, and a last block cut short by the end of the sweep).
-    Where a run is cut into pieces and holds types of different masses
-    under `law`, IidTypes.first_counts splits each type's tuples between
-    the pieces.  The moment sums count * (L^rho * P) over (type, piece)
-    with grouped_fsum, which is fsum over the tuples.
+    Each budget run of the greedy sweep is a union of type classes, in
+    tuple index order; partitions.greedy_pieces gives N and each run's
+    block sizes, and IidTypes.first_counts splits the types of a run of
+    several pieces between them.  The moment sums count * (L^rho * P) over
+    (type, piece) with grouped_fsum, which is fsum over the tuples.
     """
     types = law.types
-    budget = LambdaBudget.from_index(*_budgets(design, rho, m))  # per type
+    budget = lambda_from_law(design, rho, m)  # per type
     order = np.argsort(budget.codes, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(budget.codes))))
     run_counts = np.add.reduceat(types.multiplicity[order], bounds[:-1]).tolist()
-    size = law.size
-    runs = list(greedy_runs(budget.values, run_counts, size))
-    swept = runs[-1][2] if runs else 0
-    used = 0 if swept == size else 1
-    # each whole run has one block size (the absorbing runs that of the
-    # absorbing block); a split run has pieces (members, counts, block size)
-    run_block = [size - swept] * len(run_counts)
-    pieces = []
-    tail = 0  # the size of the block that reaches into the next run
-    for r, (b, start, end, head) in enumerate(runs):
-        if head == end:
-            run_block[r] = tail
-            continue
-        heads = -(-(end - head) // b)
-        used += heads
-        last = head + (heads - 1) * b
-        ends = [head - start, last - start, end - start]
-        blocks = [tail, b, min(b, swept - last)]
-        tail = blocks[-1]
-        cut = []  # (end, block size) of each piece, neighbours merged
-        for e, s, before in zip(ends, blocks, [0] + ends):
-            if e > before:
-                if cut and cut[-1][1] == s:
-                    cut.pop()
-                cut.append((e, s))
-        if len(cut) == 1:
-            run_block[r] = cut[0][1]
-            continue
-        run_block[r] = None
-        members = order[bounds[r]:bounds[r + 1]]
-        before = 0
-        for e, s in cut:
-            upto = types.first_counts(members, e)
-            share = upto - before
-            some = share > 0
-            pieces.append((members[some], share[some], float(s)))
-            before = upto
+    used, runs = greedy_pieces(budget.values, run_counts, law.size)
     if used > m:
         raise ValueError(f"{used} preimages exceed M = {m}")
-    whole = np.flatnonzero(np.array([s is not None for s in run_block])[budget.codes])
-    run_size = np.array([s or 0 for s in run_block], dtype=float)
-    pieces.append((whole, types.multiplicity[whole], run_size[budget.codes[whole]]))
     terms, counts = [], []
-    while pieces:  # each piece is dropped once its terms are taken
-        members, count, block = pieces.pop()
+
+    def add(members, count, size):
         masses = law.masses[members]
         positive = masses > 0.0  # a zero mass adds 0, also next to an inf power
-        if not positive.all():
-            count, masses = count[positive], masses[positive]
-        term = np.broadcast_to(block, positive.shape)[positive]
         with np.errstate(over="ignore"):
-            np.power(term, rho, out=term)
-        term *= masses
-        terms.append(term)
-        counts.append(count)
+            term = np.power(np.broadcast_to(size, masses.shape)[positive], rho)
+        terms.append(term * masses[positive])
+        counts.append(count[positive])
+
+    # the types of every one-piece run in one gather, then each cut run
+    one = np.array([len(cut) == 1 for cut in runs])
+    whole = np.flatnonzero(one[budget.codes])
+    add(whole, types.multiplicity[whole],
+        np.array([cut[0][1] for cut in runs], float)[budget.codes[whole]])
+    for r in np.flatnonzero(~one).tolist():
+        group = order[bounds[r]:bounds[r + 1]]
+        before, start = 0, runs[r - 1][-1][0] if r else 0
+        for end, s in runs[r]:
+            upto = types.first_counts(group, end - start)
+            some = upto > before
+            add(group[some], (upto - before)[some], float(s))
+            before = upto
     return used, grouped_fsum(np.concatenate(terms), np.concatenate(counts))
 
 
@@ -495,8 +439,7 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     if isinstance(source, MarkovSource):
         design_law = None if design is None else iid_joint(design, n, cap)
         return _report(markov_joint(source, n, cap), rho, m, design_law, n, float(rate_fr))[0]
-    types = IidTypes(letters.size, n)
-    law = TypeLaw(source, types)
-    design_law = None if design is None else TypeLaw(design, types)
-    used, value = _type_encoder(law, law if design is None else design_law, rho, m)
+    law = TypeLaw(source, IidTypes(letters.size, n))
+    design_law = None if design is None else TypeLaw(design, law.types)
+    used, value = _type_encoder(law, design_law or law, rho, m)
     return _row(law, rho, m, design_law, n, float(rate_fr), used, value)

@@ -7,9 +7,14 @@ sum_x 1/lambda(x) = mu does not guarantee a partition into ceil(mu) blocks,
 but a greedy sweep always fits within
 min_{a>1} floor(a*mu + log_a(k) + 2) blocks while keeping every block that
 contains x no larger than min(lambda(x), k).
+
+This module owns that sweep: greedy_pieces walks it, build_partition
+labels the elements from the walk, and the type classes of coding read
+their block sizes from it.
 """
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -219,6 +224,31 @@ def kraft_sum(part: Partition) -> Fraction:
 _GRID_POINTS = 512
 
 
+def _floor_plus_log(x: Fraction, k: int, a: float) -> int:
+    """floor(x + log_a k) exactly, for a rational x and a float a > 1.
+
+    log_a k = p/q is rational only at k = 1 or for an integer a with
+    a^p == k^q (so q <= log2 a), and then the sum is exact.  Otherwise Ziv's
+    strategy decides it, as in coding.floor_pow2: decimal at a doubling
+    precision until the sum lies farther from an integer than its error
+    bound, 3 relative units of 10^(1-prec) on log_a k (two logarithms and a
+    division) and 2 on the sum.
+    """
+    if k == 1 or a.is_integer():
+        log = Fraction(math.log(k) / math.log(a)).limit_denominator(int(a).bit_length())
+        if int(a) ** log.numerator == k ** log.denominator:
+            return math.floor(x + log)
+    for prec in (40 << i for i in itertools.count()):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            log = decimal.Decimal(k).ln() / decimal.Decimal(a).ln()
+            near = decimal.Decimal(x.numerator) / x.denominator + log
+            err = (3 * log + 2 * abs(near)) * decimal.Decimal(10) ** (1 - prec)
+            floor = math.floor(near)
+            if floor + err < near < floor + 1 - err:
+                return floor
+
+
 def subset_count_bound_detail(mu, alphabet_size: int) -> tuple[int, float]:
     """Minimize floor(a*mu + log_a(k) + 2) over a > 1 on a geometric grid.
 
@@ -226,12 +256,17 @@ def subset_count_bound_detail(mu, alphabet_size: int) -> tuple[int, float]:
     includes a = 2, the value used by the single-shot encoder analysis.  Any
     grid point yields a valid upper bound, so grid search is safe even though
     the expression is not proven unimodal.
+
+    Each floor is exact for the float grid point a and the exact mu: the
+    float sum decides it unless it lies within 2^-48 of itself (a bound on
+    the rounding of its nonnegative terms) from an integer.
     """
     if alphabet_size < 1:
         raise ValueError("alphabet size must be positive")
-    mu_f = float(mu)
-    if mu_f < 0:
+    mu = Fraction(mu)
+    if mu < 0:
         raise ValueError("mu must be nonnegative")
+    mu_f = float(mu)
     log_k = math.log(alphabet_size)
     hi = float(max(4, alphabet_size))
     alphas = [hi ** (i / _GRID_POINTS) for i in range(1, _GRID_POINTS + 1)]
@@ -239,8 +274,11 @@ def subset_count_bound_detail(mu, alphabet_size: int) -> tuple[int, float]:
     best = None
     best_alpha = 2.0
     for a in alphas:
-        # +1e-12 guards the floor against float noise at exact-integer values
-        val = math.floor(a * mu_f + log_k / math.log(a) + 2.0 + 1e-12)
+        near = a * mu_f + log_k / math.log(a) + 2.0
+        err = near * 2.0 ** -48
+        val = math.floor(near - err)
+        if val != math.floor(near + err):
+            val = _floor_plus_log(Fraction(a) * mu + 2, alphabet_size, a)
         if best is None or val < best:
             best, best_alpha = val, a
     return max(int(best), 1), best_alpha
@@ -251,53 +289,70 @@ def subset_count_bound(mu, alphabet_size: int) -> int:
     return subset_count_bound_detail(mu, alphabet_size)[0]
 
 
-def greedy_runs(values, counts, size: int):
+def greedy_pieces(values, counts, size: int) -> tuple[int, list]:
     """Walk the greedy sweep of build_partition over runs of equal budgets.
 
     values[r] is the budget of run r and counts[r] its element count, runs
     in increasing budget order; size is the ground-set size k.  Runs with a
-    budget >= k go to the absorbing block and are not swept.  Yields
-    (b, start, end, head) for each swept run, which covers the positions
-    start..end-1 of the sweep: its blocks start at head, head + b, ... <
-    end, and head == end when the block before the run covers all of it.
-    Every block holds b elements, the budget of its first element, except
-    the last swept block, which stops at the end of the sweep.
+    budget >= k form the absorbing block; the others are swept, each new
+    block taking b elements, the budget of its first element, except the
+    last, which stops at the end of the sweep.
+
+    Returns N, with the absorbing block, and per run its pieces (end, block
+    size): the sweep positions from the previous piece's end (0 first) to
+    `end` sit in blocks of that size.  A swept run has at most three pieces,
+    equal neighbours merged (the tail of the block before it, its own
+    blocks, a last block cut short by the end of the sweep); an absorbed
+    run has one, an empty run none.
     """
-    start = i = 0
+    swept = sum(c for b, c in zip(values, counts) if b < size)
+    used = int(swept < size)
+    pieces = []
+    start = head = tail = 0  # tail: the size of the block that reaches past head
     for b, count in zip(values, counts):
-        if b >= size:
-            return
         end = start + count
-        yield b, start, end, min(i, end)
-        if i < end:
-            i += -(-(end - i) // b) * b  # the head after the run's last block
+        if b >= size:
+            cut = [(end, size - swept)]
+        elif head >= end:  # the block before the run covers all of it
+            cut = [(end, tail)]
+        else:
+            heads = -(-(end - head) // b)
+            used += heads
+            last = head + (heads - 1) * b
+            cut = []
+            for e, s in ((head, tail), (last, b), (end, min(b, swept - last))):
+                if e > (cut[-1][0] if cut else start):
+                    if cut and cut[-1][1] == s:
+                        cut.pop()
+                    cut.append((e, s))
+            head, tail = last + b, cut[-1][1]
+        pieces.append(cut if count else [])
         start = end
+    return used, pieces
 
 
 def build_partition(budget: LambdaBudget) -> Partition:
     """Greedy budget-respecting partition.
 
-    Elements with lambda(x) >= k form one absorbing block; the rest are
-    swept in order of increasing (lambda(x), x), each new block taking
+    Elements with lambda(x) >= k form one absorbing block, block 0; the rest
+    are swept in order of increasing (lambda(x), x), each new block taking
     lambda(head) elements (or all that remain).  The result satisfies
     L(x) <= min(lambda(x), k) and uses at most subset_count_bound(mu, k)
     blocks.
 
-    The sweep walks the runs of equal budgets (greedy_runs), not the
-    blocks: inside a run of budget b that starts at a block head, heads sit
-    every b positions, and the run's last block may reach into the runs
-    after it.
+    The walk is greedy_pieces': a stretch of the sweep where the block
+    size s does not change holds whole blocks of s elements.
     """
     size = budget.codes.size
     order = np.argsort(budget.codes, kind="stable")  # the (lambda(x), x) order
-    counts = np.bincount(budget.codes).tolist()
-    heads = np.zeros(size, dtype=bool)
-    swept = 0
-    for b, _, end, head in greedy_runs(budget.values, counts, size):
-        heads[head:end:b] = True
-        swept = end
-    labels = np.zeros(size, dtype=np.intp)  # the absorbing block is block 0
-    labels[order[:swept]] = np.cumsum(heads[:swept]) - (1 if swept == size else 0)
+    used, runs = greedy_pieces(budget.values, np.bincount(budget.codes).tolist(), size)
+    ends, sizes = np.array([piece for cut in runs for piece in cut]).T
+    last = np.append(sizes[1:] != sizes[:-1], True)  # the last piece of each stretch
+    ends, sizes = ends[last], sizes[last]
+    blocks = np.repeat(sizes, np.diff(ends, prepend=0) // sizes)  # in sweep order
+    absorbed = int(budget.values[budget.codes.max()] >= size)  # then the last block
+    labels = np.empty(size, dtype=np.intp)
+    labels[order] = np.repeat((np.arange(used) + absorbed) % used, blocks)
     return Partition.from_labels(labels)
 
 

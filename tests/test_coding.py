@@ -27,6 +27,7 @@ from taskcodes import (
     renyi_rho,
     upper_bound,
 )
+from taskcodes import coding
 from conftest import random_pmf, rng
 
 DYADIC = Pmf([0.5, 0.25, 0.125, 0.125])
@@ -357,3 +358,22 @@ def test_rho_without_a_renyi_order(rho):
     for call in calls:
         with pytest.raises(InvalidOrderError, match="rho must be finite"):
             call()
+
+
+@pytest.mark.parametrize("source,design", [
+    (Pmf([0.5, 0.3, 0.2]), None),
+    (Pmf([0.5, 0.3, 0.2]), Pmf([0.6, 0.3, 0.1])),
+    (MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]])), None),
+])
+def test_a_row_passes_every_named_stage_once(monkeypatch, source, design):
+    # every row, on types or enumerated, goes through the public stages
+    # (the benchmark's tracer times them by these names)
+    calls = {}
+    for name in ("lambda_from_law", "lower_bound", "upper_bound"):
+        def counted(*args, _name=name, _fn=getattr(coding, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(coding, name, counted)
+    rep = block_experiment(source, 9, "1.4", 1.0, design)
+    assert calls == {"lambda_from_law": 1, "lower_bound": 1, "upper_bound": 1}
+    assert rep.lower <= rep.moment <= rep.upper

@@ -1,7 +1,10 @@
+import decimal
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from taskcodes import (
     GroundSetMismatchError,
@@ -13,6 +16,7 @@ from taskcodes import (
     subset_count_bound_detail,
     verify_budget,
 )
+from taskcodes.partitions import _floor_plus_log, greedy_pieces
 from conftest import random_budget, random_partition, rng
 
 
@@ -95,6 +99,65 @@ class TestSubsetCountBound:
 
         oracle = min(expr(1.0 + (k - 1.0) * i / 1e5) for i in range(1, 10 ** 5 + 1))
         assert subset_count_bound(Fraction(37, 10), k) == oracle
+
+    def test_floor_is_exact_below_an_integer(self):
+        # mu puts the grid point a = 4^(165/512) at 10 - 5e-13: the floor
+        # there is 9, and every other grid point gives 10 or more
+        a = 4.0 ** (165 / 512)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            log = Fraction(decimal.Decimal(3).ln() / decimal.Decimal(a).ln())
+        mu = (8 - Fraction(5, 10 ** 13) - log) / Fraction(a)
+        assert subset_count_bound_detail(mu, 3) == (9, a)
+
+    @pytest.mark.parametrize("j,twice_mu", [(7, 10), (29, 41), (47, 67), (61, 81)])
+    def test_exact_integer_at_a_two_keeps_its_floor(self, j, twice_mu):
+        # at a = 2, a*mu + log_2(2^j) + 2 is an exact integer, the least
+        # floor on the grid
+        assert subset_count_bound(Fraction(twice_mu, 2), 2 ** j) == twice_mu + j + 2
+
+    @pytest.mark.parametrize("x,k,a,want", [
+        (Fraction(8, 3), 4096, 512.0, 4),  # log_512 4096 = 4/3
+        (Fraction(1, 3), 4096, 512.0, 1),
+        (Fraction(5), 1, 1.5, 5),
+        (Fraction(7, 2), 3, 3.0, 4),
+        (Fraction(-1, 10 ** 30), 9, 3.0, 1),
+    ])
+    def test_floor_plus_log_on_rational_logs(self, x, k, a, want):
+        assert _floor_plus_log(x, k, a) == want
+
+
+@st.composite
+def budget_runs(draw):
+    """Distinct budgets in increasing order (ints, ints >= k, inf), their
+    positive counts, and the budget of each element, in shuffled order."""
+    counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    size = sum(counts)
+    pool = st.one_of(st.integers(1, size + 3), st.just(math.inf))
+    values = sorted(draw(st.lists(pool, min_size=len(counts), max_size=len(counts),
+                                  unique=True)))
+    budgets = draw(st.permutations([b for b, c in zip(values, counts) for _ in range(c)]))
+    return values, counts, budgets
+
+
+class TestGreedyPieces:
+    @given(budget_runs())
+    def test_pieces_are_the_partitions_block_sizes(self, runs):
+        values, counts, budgets = runs
+        budget = LambdaBudget(budgets)
+        part = build_partition(budget)
+        used, pieces = greedy_pieces(values, counts, len(budgets))
+        assert used == part.num_blocks
+        assert len(pieces) == len(counts)
+        got, start = [], 0
+        for count, cut in zip(counts, pieces):
+            assert cut[-1][0] == start + count and len(cut) <= 3
+            assert all(a[1] != b[1] for a, b in zip(cut, cut[1:]))  # neighbours merged
+            for end, s in cut:
+                got += [s] * (end - start)
+                start = end
+        order = np.argsort(budget.codes, kind="stable")  # the (lambda(x), x) order
+        assert got == part.sizes[part.labels][order].tolist()
 
 
 class TestBuildPartition:
