@@ -120,12 +120,14 @@ def scalar_budgets(p: Pmf, rho: float, m: int) -> tuple:
 
 
 # the sweep benchmark laws (Bernoulli(0.1) at R = 0.9; the ternary p and q at
-# R = 1.4) and one law with a zero mass
+# R = 1.4), one law with a zero mass, and a uniform law, whose budgets at
+# M = floor(log2|X| + 2) + 1 are exact integers
 SWEEP_LAWS = [
     ([0.9, 0.1], Fraction("0.9"), range(1, 14)),
     ([0.5, 0.3, 0.2], Fraction("1.4"), range(1, 9)),
     ([0.6, 0.3, 0.1], Fraction("1.4"), range(1, 9)),
     ([0.5, 0.3, 0.2, 0.0], Fraction("1.9"), range(1, 7)),
+    ([0.25] * 4, Fraction("1.9"), range(1, 7)),
 ]
 
 
