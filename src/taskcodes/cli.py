@@ -147,19 +147,17 @@ def _cap(args) -> int:
 
 def cmd_entropy(args) -> None:
     lines = []
-    if args.pmf:
+    if args.pmf is not None:
         p = _load(args.pmf, read_pmf_text)
         if args.rho is not None:
             lines.append("rho,entropy_bits")
             for rho in args.rho:
                 lines.append(f"{fmt(rho)},{fmt(renyi_rho(p, rho))}")
         else:
-            if args.alpha is None:
-                raise UsageError("entropy --pmf needs --alpha or --rho")
             lines.append("alpha,entropy_bits")
             for alpha in args.alpha:
                 lines.append(f"{fmt(alpha)},{fmt(renyi_entropy(p, alpha))}")
-    elif args.markov:
+    else:
         src = _load(args.markov, read_markov_text)
         if args.alpha is None or args.n is None:
             raise UsageError("entropy --markov needs --alpha and --n")
@@ -169,20 +167,16 @@ def cmd_entropy(args) -> None:
         lines.append("n,entropy_rate_bits")
         for n, h in zip(ns, markov_renyi_sums(src, args.alpha[0], ns)):
             lines.append(f"{n},{fmt(h / n)}")
-    else:
-        raise UsageError("entropy needs --pmf or --markov")
     _emit(lines, args.out)
 
 
 def cmd_construct(args) -> None:
-    if args.budgets:
+    if args.budgets is not None:
         part = build_partition(_load(args.budgets, _read_budgets))
         lines = part.to_text().rstrip("\n").split("\n")
         lines.append(f"# blocks={part.num_blocks} kraft_sum={kraft_sum(part)}")
         _emit(lines, args.out)
         return
-    if not args.pmf:
-        raise UsageError("construct needs --pmf or --budgets")
     if args.M is None or args.rho is None:
         raise UsageError("construct --pmf needs --M and --rho")
     report, part = _report(_load(args.pmf, read_pmf_text), args.rho, args.M)
@@ -209,16 +203,14 @@ def cmd_oracle(args) -> None:
 def cmd_sweep(args) -> None:
     cap = _cap(args)
     design = None
-    if args.markov:
+    if args.markov is not None:
         if args.q:
             raise UsageError("mismatched sweeps need --pmf, not --markov")
         source = _load(args.markov, read_markov_text)
-    elif args.pmf:
+    else:
         source = _load(args.pmf, read_pmf_text)
         if args.q:
             design = _load(args.q, read_pmf_text)
-    else:
-        raise UsageError("sweep needs --pmf or --markov")
     rows = [block_experiment(source, n, args.rate, args.rho, design, cap)
             for n in args.n[::args.step]]
     lines = [MomentReport.CSV_HEADER]
@@ -252,39 +244,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, help: str):
-        """Add a subcommand with its --out flag; return its add_argument."""
+        """Add a subcommand with its --out flag; return its parser."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=func)
         sp.add_argument("--out", help="output file (default: stdout)")
-        return sp.add_argument
+        return sp
 
-    arg = command("entropy", cmd_entropy, "Renyi entropy tables")
-    arg("--pmf", help="PMF file: one probability per line")
-    arg("--markov", help="Markov source file")
-    arg("--alpha", type=_floats, help="comma-separated entropy orders")
-    arg("--rho", type=_floats, help="comma-separated moment orders")
+    def one_of(sp):
+        """The add_argument of a group of sp's flags: exactly one is given."""
+        return sp.add_mutually_exclusive_group(required=True).add_argument
+
+    sp = command("entropy", cmd_entropy, "Renyi entropy tables")
+    source, order, arg = one_of(sp), one_of(sp), sp.add_argument
+    source("--pmf", help="PMF file: one probability per line")
+    source("--markov", help="Markov source file")
+    order("--alpha", type=_floats, help="comma-separated entropy orders")
+    order("--rho", type=_floats, help="comma-separated moment orders")
     arg("--n", type=_n_range, help="block-length range A..B")
     arg("--step", type=_positive("--step"), default=1, help="range step")
 
-    arg = command("construct", cmd_construct, "build an encoder or a partition")
-    arg("--pmf", help="PMF file: one probability per line")
+    sp = command("construct", cmd_construct, "build an encoder or a partition")
+    mode, arg = one_of(sp), sp.add_argument
+    mode("--pmf", help="PMF file: one probability per line")
+    mode("--budgets", help="budget file: one integer or 'inf' per line")
     arg("--M", type=int, help="description count M")
     arg("--rho", type=float, help="moment order rho")
-    arg("--budgets", help="budget file: one integer or 'inf' per line")
 
-    arg = command("moment", cmd_moment, "moment of an explicit partition")
+    arg = command("moment", cmd_moment, "moment of an explicit partition").add_argument
     arg("--pmf", required=True, help="PMF file: one probability per line")
     arg("--rho", type=float, required=True, help="moment order rho")
     arg("--partition", required=True, help="partition text file")
 
-    arg = command("oracle", cmd_oracle, "exhaustive optimum (|X| <= 10)")
+    arg = command("oracle", cmd_oracle, "exhaustive optimum (|X| <= 10)").add_argument
     arg("--pmf", required=True, help="PMF file: one probability per line")
     arg("--M", type=_positive("--M"), required=True, help="description count M")
     arg("--rho", type=float, required=True, help="moment order rho")
 
-    arg = command("sweep", cmd_sweep, "block-length experiments over n")
-    arg("--pmf", help="PMF file: one probability per line")
-    arg("--markov", help="Markov source file")
+    sp = command("sweep", cmd_sweep, "block-length experiments over n")
+    source, arg = one_of(sp), sp.add_argument
+    source("--pmf", help="PMF file: one probability per line")
+    source("--markov", help="Markov source file")
     arg("--q", help="mismatched design law (PMF file)")
     arg("--rate", type=_rate, required=True, help="rate R in bits/symbol")
     arg("--rho", type=float, required=True, help="moment order rho")
@@ -292,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--step", type=_positive("--step"), default=1, help="range step")
     arg("--cap", type=_positive("--cap"), help="tuple enumeration cap (or env TASKCODES_CAP)")
 
-    arg = command("mismatch", cmd_mismatch, "divergence tables (mismatched sweeps: sweep --q)")
+    arg = command("mismatch", cmd_mismatch,
+                  "divergence tables (mismatched sweeps: sweep --q)").add_argument
     arg("--pmf", required=True, help="PMF file: one probability per line")
     arg("--q", required=True, help="mismatched design law (PMF file)")
     # an empty --alpha, like none, asks for the default orders

@@ -29,7 +29,8 @@ from .errors import (
     RateTooSmallError,
 )
 from .mismatch import sundaresan_divergence
-from .partitions import LambdaBudget, Partition, build_partition, greedy_pieces
+from .partitions import (LambdaBudget, Partition, _ziv_floor, build_partition,
+                         greedy_pieces)
 from .probability import (
     DEFAULT_TUPLE_CAP,
     IidTypes,
@@ -152,19 +153,13 @@ def moment(p: Pmf, part: Partition, rho: float) -> float:
     return math.fsum(terms)
 
 
-def _exp2(exponent: float) -> float:
-    if exponent > 1023.0:
-        return math.inf
-    return 2.0 ** exponent
-
-
 def lower_bound(p, m: int, rho: float) -> float:
     """Converse bound 2^(rho*(H_{1/(1+rho)}(p) - log2 M)), valid for every
     encoder with M descriptions."""
     h = renyi_rho(p, rho)
     if m < 1:
         raise ValueError("M must be a positive integer")
-    return _exp2(rho * (h - math.log2(m)))
+    return _power(2, rho * (h - math.log2(m)))
 
 
 def m_tilde(m: int, alphabet_size: int) -> float:
@@ -183,7 +178,7 @@ def upper_bound(p, m: int, rho: float, design: Pmf | None = None) -> float:
     mt = m_tilde(m, p.size)
     if mt <= 0.0:
         return math.inf
-    return 1.0 + _exp2(rho * (h - math.log2(mt)))
+    return 1.0 + _power(2, rho * (h - math.log2(mt)))
 
 
 def _grow(masks: np.ndarray, used: np.ndarray, first: int, last: int,
@@ -202,10 +197,10 @@ def _grow(masks: np.ndarray, used: np.ndarray, first: int, last: int,
     return masks, used
 
 
-def _block_power(size: int, rho: float) -> float:
-    """size^rho, inf past the float range as in moment."""
+def _power(base: int, exponent: float) -> float:
+    """base^exponent as a float, inf past the float range as in moment."""
     try:
-        return float(size) ** rho
+        return float(base) ** exponent
     except OverflowError:
         return math.inf
 
@@ -237,12 +232,12 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
     zeros = [x for x in range(p.size) if x not in set(supp)]
     if zeros and m == 1:
         part = Partition([list(range(p.size))])
-        return math.fsum(p.masses[supp] * _block_power(p.size, rho)), part
+        return math.fsum(p.masses[supp] * _power(p.size, rho)), part
 
     s = len(supp)
     limit = min(m - 1 if zeros else m, s)
     masses = p.masses[supp].tolist()
-    powers = [_block_power(c, rho) for c in range(s + 1)]
+    powers = [_power(c, rho) for c in range(s + 1)]
     terms = [math.fsum(masses[i] for i in range(s) if mask >> i & 1)
              * powers[mask.bit_count()] for mask in range(1 << s)]
     table = np.array(terms)
@@ -281,35 +276,26 @@ def as_rate(rate) -> Fraction:
 def floor_pow2(exponent: Fraction) -> int:
     """floor(2**exponent) exactly for rational exponents.
 
-    Ziv's strategy: 2**exponent is evaluated in decimal with whole + 80
-    guard bits (whole = floor(exponent)), and the floor is taken only when
-    the fractional part lies farther than the error bound from 0 and from
-    1; otherwise the guard bits double and it tries again.  A non-integer
-    rational exponent gives an irrational power, so some precision always
-    decides.  The error bound, whole + 4 units of 10^(1-prec) relative to
-    the power, covers the rounding of the exponent (at most whole + 1 units
-    once raised to the power) and two units for the power itself, which
-    the decimal module rounds almost always correctly.
+    partitions._ziv_floor evaluates 2**exponent in decimal with whole + 80,
+    160, 320, ... guard bits (whole = floor(exponent)).  The error bound,
+    whole + 4 units of 10^(1-prec) relative to the power, covers the
+    rounding of the exponent (at most whole + 1 units once raised to the
+    power) and two units for the power itself, which the decimal module
+    rounds almost always correctly.  A non-integer rational exponent gives
+    an irrational power, so some precision always decides.
     """
     if exponent < 0:
         return 0
     if exponent.denominator == 1:
         return 1 << int(exponent)
     whole = exponent.numerator // exponent.denominator
-    guard = 80
-    while True:
-        with decimal.localcontext() as ctx:
-            # whole + guard bits in decimal digits (log10(2) < 0.30103), plus two
-            ctx.prec = (whole + guard) * 30103 // 100000 + 2
-            ctx.Emax = decimal.MAX_EMAX
-            val = decimal.Decimal(exponent.numerator) / exponent.denominator
-            power = decimal.Decimal(2) ** val
-            floor = int(power)
-            frac = power - floor
-            err = power * (whole + 4) * decimal.Decimal(10) ** (1 - ctx.prec)
-            if err < frac < 1 - err:
-                return floor
-        guard *= 2
+
+    def evaluate():
+        power = decimal.Decimal(2) ** (decimal.Decimal(exponent.numerator)
+                                       / exponent.denominator)
+        return power, power * (whole + 4)
+    # whole + guard bits in decimal digits (log10(2) < 0.30103), plus two
+    return _ziv_floor(evaluate, lambda i: (whole + (80 << i)) * 30103 // 100000 + 2)
 
 
 def _description_count(rate: Fraction, n: int, base: int) -> int:

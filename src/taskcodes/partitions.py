@@ -224,29 +224,41 @@ def kraft_sum(part: Partition) -> Fraction:
 _GRID_POINTS = 512
 
 
+def _ziv_floor(evaluate, precision) -> int:
+    """floor(v) exactly, by Ziv's strategy: at pass i = 0, 1, ..., evaluate()
+    runs in decimal at precision(i) digits and returns an approximation of v
+    and its error bound in units of 10^(1-digits); the first pass that puts
+    the approximation farther than the bound from every integer decides."""
+    for prec in map(precision, itertools.count()):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            ctx.Emax = decimal.MAX_EMAX
+            near, units = evaluate()
+            err = units * decimal.Decimal(10) ** (1 - prec)
+            floor = math.floor(near)
+            if floor + err < near < floor + 1 - err:
+                return floor
+
+
 def _floor_plus_log(x: Fraction, k: int, a: float) -> int:
     """floor(x + log_a k) exactly, for a rational x and a float a > 1.
 
     log_a k = p/q is rational only at k = 1 or for an integer a with
-    a^p == k^q (so q <= log2 a), and then the sum is exact.  Otherwise Ziv's
-    strategy decides it, as in coding.floor_pow2: decimal at a doubling
-    precision until the sum lies farther from an integer than its error
-    bound, 3 relative units of 10^(1-prec) on log_a k (two logarithms and a
-    division) and 2 on the sum.
+    a^p == k^q (so q <= log2 a), and then the sum is exact.  Otherwise
+    _ziv_floor decides it at 40, 80, 160, ... digits, with an error bound of
+    3 relative units on log_a k (two logarithms and a division) and 2 on the
+    sum.
     """
     if k == 1 or a.is_integer():
         log = Fraction(math.log(k) / math.log(a)).limit_denominator(int(a).bit_length())
         if int(a) ** log.numerator == k ** log.denominator:
             return math.floor(x + log)
-    for prec in (40 << i for i in itertools.count()):
-        with decimal.localcontext() as ctx:
-            ctx.prec = prec
-            log = decimal.Decimal(k).ln() / decimal.Decimal(a).ln()
-            near = decimal.Decimal(x.numerator) / x.denominator + log
-            err = (3 * log + 2 * abs(near)) * decimal.Decimal(10) ** (1 - prec)
-            floor = math.floor(near)
-            if floor + err < near < floor + 1 - err:
-                return floor
+
+    def evaluate():
+        log = decimal.Decimal(k).ln() / decimal.Decimal(a).ln()
+        near = decimal.Decimal(x.numerator) / x.denominator + log
+        return near, 3 * log + 2 * abs(near)
+    return _ziv_floor(evaluate, lambda i: 40 << i)
 
 
 def subset_count_bound_detail(mu, alphabet_size: int) -> tuple[int, float]:

@@ -255,7 +255,7 @@ class MarkovSource:
         sums = mat.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > _SUM_WINDOW)
         if bad.size:
-            raise ValueError(f"transition row {bad[0]} sums to {sums[bad[0]]!r}")
+            raise ValueError(f"transition row {bad[0]} sums to {float(sums[bad[0]])!r}")
         mat /= sums[:, None]
         mat.flags.writeable = False
         object.__setattr__(self, "transitions", mat)

@@ -150,6 +150,16 @@ class TestConstruct:
         assert code == 2
         assert err == "error: numeric overflow: cannot convert float infinity to integer\n"
 
+    def test_lower_bound_just_inside_the_float_range(self, capsys, files):
+        # lower = 2^(2465.9 * (3 - log2 6)) = 2^1023.44 is a finite float
+        path = files["tmp"] / "u8.pmf"
+        path.write_text("0.125\n" * 8)
+        code = main(["construct", "--pmf", str(path), "--M", "6", "--rho", "2465.9"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.splitlines()[-1] == \
+            "1,nan,2465.9,6,1,inf,1.22019882488e+308,inf,0.25,nan"
+
     def test_partition_roundtrip(self, capsys, files):
         code, out = run(capsys, ["construct", "--pmf", str(files["bern01"]),
                                  "--M", "4", "--rho", "1"])
@@ -386,6 +396,96 @@ class TestArgumentErrors:
                                                    "--out", str(files["tmp"])]))
         assert code == 1
         assert "cannot write" in err
+
+
+class TestModes:
+    """entropy, construct and sweep take exactly one flag of each mode group."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["entropy", "--pmf", "bern01", "--markov", "markov", "--alpha", "0.5",
+          "--n", "1..2"], "argument --markov: not allowed with argument --pmf"),
+        (["entropy", "--pmf", "bern01", "--alpha", "0.5", "--rho", "1"],
+         "argument --rho: not allowed with argument --alpha"),
+        (["construct", "--budgets", "budgets", "--pmf", "uniform4", "--M", "5", "--rho", "1"],
+         "argument --pmf: not allowed with argument --budgets"),
+        (["sweep", "--markov", "markov", "--pmf", "bern01", "--rate", "0.9", "--rho", "1",
+          "--n", "4..4"], "argument --pmf: not allowed with argument --markov"),
+    ])
+    def test_two_modes_are_refused(self, capsys, files, argv, message):
+        code, err = run_error(capsys, fill(files, argv))
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,group", [
+        (["entropy", "--alpha", "0.5"], "--pmf --markov"),
+        (["entropy", "--pmf", "bern01", "--n", "1..2"], "--alpha --rho"),
+        (["entropy", "--markov", "markov", "--n", "1..2"], "--alpha --rho"),
+        (["construct", "--M", "5", "--rho", "1"], "--pmf --budgets"),
+        (["sweep", "--rate", "0.9", "--rho", "1", "--n", "4..4"], "--pmf --markov"),
+    ])
+    def test_one_mode_is_required(self, capsys, files, argv, group):
+        code, err = run_error(capsys, fill(files, argv))
+        assert code == 1
+        assert err == f"error: one of the arguments {group} is required\n"
+
+    @pytest.mark.parametrize("command", ["", "entropy", "construct", "moment", "oracle",
+                                         "sweep", "mismatch"])
+    def test_help(self, capsys, command):
+        code = main([command, "--help"] if command else ["--help"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("usage: taskcodes")
+        assert captured.err == ""
+
+
+class TestInputErrors:
+    """Each malformed input file or value ends in one error line."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty Markov source file"),
+        ("# no data\n", "empty Markov source file"),
+        ("x\n0.5 0.5\n", "line 1: state count must be an integer"),
+        ("0\n", "line 1: state count must be positive"),
+        ("2\n0.5 0.5\n0.9 O.1\n0.1 0.9\n", "line 3: malformed number"),
+        ("2\n0.5 0.5\n1.5 -0.5\n0.1 0.9\n", "must be finite and nonnegative"),
+        ("2\n0.5 0.5\n0.6 0.5\n0.1 0.9\n", "transition row 0 sums to 1.1\n"),
+    ])
+    def test_malformed_markov_file(self, capsys, files, text, message):
+        path = files["tmp"] / "bad.markov"
+        path.write_text(text)
+        code, err = run_error(capsys, ["entropy", "--markov", str(path), "--alpha", "0.5",
+                                       "--n", "1..2"])
+        assert code == 1
+        assert message in err
+
+    @pytest.mark.parametrize("text,argv,message", [
+        ("# no data\n", ["entropy", "--pmf", "FILE", "--alpha", "0.5"],
+         "no probabilities found"),
+        ("x\n", ["construct", "--budgets", "FILE"], "line 1: bad budget 'x'"),
+        ("", ["construct", "--budgets", "FILE"], "need at least one budget"),
+        ("0 x\n", ["moment", "--pmf", "uniform4", "--partition", "FILE", "--rho", "1"],
+         "line 1: malformed block"),
+    ])
+    def test_malformed_file(self, capsys, files, text, argv, message):
+        path = files["tmp"] / "bad.txt"
+        path.write_text(text)
+        code, err = run_error(capsys, [str(path) if a == "FILE" else a
+                                       for a in fill(files, argv)])
+        assert code == 1
+        assert message in err
+
+    def test_negative_rate_exit_2(self, capsys, files):
+        # floor(2^(nR)) of a negative exponent is 0
+        code, err = run_error(capsys, fill(files, ["sweep", "--pmf", "bern01", "--rate", "-1",
+                                                   "--rho", "1", "--n", "1..1"]))
+        assert code == 2
+        assert "floor(2^(nR)) = 0 at n = 1" in err
+
+    def test_markov_entropy_needs_n(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["entropy", "--markov", "markov",
+                                                   "--alpha", "0.5"]))
+        assert code == 1
+        assert err == "error: entropy --markov needs --alpha and --n\n"
 
 
 class TestOrders:

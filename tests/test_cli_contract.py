@@ -1,6 +1,7 @@
 """The CLI contract, driven by generated argument lists: every call ends in
 exit 0, or in exit 1, 2 or 3 with empty stdout and exactly one `error:` line
-on stderr.  No exception escapes main."""
+on stderr.  No exception escapes main, and a call that exits 0 writes
+nothing to stderr."""
 import contextlib
 import io
 import os
@@ -24,7 +25,8 @@ FILES = {
 }
 # the flags of calls that can succeed as they stand
 CALLS = [
-    ["entropy", "--pmf", "--alpha", "--rho", "--out"],
+    ["entropy", "--pmf", "--alpha", "--out"],
+    ["entropy", "--pmf", "--rho", "--out"],
     ["entropy", "--markov", "--alpha", "--n", "--step"],
     ["construct", "--pmf", "--M", "--rho"],
     ["construct", "--budgets"],
@@ -98,7 +100,9 @@ def test_every_call_ends_in_output_or_one_error_line(workdir, argv):
     finally:
         os.chdir(here)
     assert code in (0, 1, 2, 3)
-    if code != 0:
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1

@@ -126,6 +126,13 @@ class TestBounds:
         assert lower_bound(DYADIC, 2, 1.0) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(1.8322, abs=1e-4)
 
+    def test_finite_past_an_exponent_of_1023(self):
+        # 2^1023.5, about 1.27e308, still lies in the float range
+        p = Pmf([0.5, 0.5])
+        want = 2.0 ** 1023 * math.sqrt(2.0)
+        assert lower_bound(p, 1, 1023.5) == pytest.approx(want, rel=1e-12)
+        assert upper_bound(p, 7, 1023.5) == pytest.approx(want, rel=1e-12)  # M~ = 1
+
     def test_upper_infinite_below_threshold(self):
         assert upper_bound(Pmf([0.25] * 4), 4, 1.0) == math.inf
 
