@@ -22,7 +22,6 @@ from .probability import (
     kl_divergence,
     log2sumexp,
     markov_joint,
-    markov_renyi_sum,
     markov_renyi_sums,
     read_markov_text,
     read_pmf_text,

@@ -36,10 +36,11 @@ from .probability import (
 )
 from .coding import (
     MomentReport,
-    _report,
+    _row,
     as_rate,
     block_experiment,
     brute_force_optimum,
+    build_encoder,
     fmt,
     moment,
 )
@@ -179,7 +180,10 @@ def cmd_construct(args) -> None:
         return
     if args.M is None or args.rho is None:
         raise UsageError("construct --pmf needs --M and --rho")
-    report, part = _report(_load(args.pmf, read_pmf_text), args.rho, args.M)
+    p = _load(args.pmf, read_pmf_text)
+    part = build_encoder(p, args.rho, args.M)
+    report = _row(p, args.rho, args.M, None, 1, math.nan, part.num_blocks,
+                  moment(p, part, args.rho))
     lines = part.to_text().rstrip("\n").split("\n")
     lines.append(MomentReport.CSV_HEADER)
     lines.append(report.csv_row())
@@ -204,12 +208,12 @@ def cmd_sweep(args) -> None:
     cap = _cap(args)
     design = None
     if args.markov is not None:
-        if args.q:
+        if args.q is not None:
             raise UsageError("mismatched sweeps need --pmf, not --markov")
         source = _load(args.markov, read_markov_text)
     else:
         source = _load(args.pmf, read_pmf_text)
-        if args.q:
+        if args.q is not None:
             design = _load(args.q, read_pmf_text)
     rows = [block_experiment(source, n, args.rate, args.rho, design, cap)
             for n in args.n[::args.step]]

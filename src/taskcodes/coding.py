@@ -315,16 +315,6 @@ def _description_count(rate: Fraction, n: int, base: int) -> int:
     return m
 
 
-def _report(p: Pmf, rho: float, m: int, design: Pmf | None = None,
-            n: int = 1, rate: float = math.nan) -> tuple[MomentReport, Partition]:
-    """Build the encoder with m descriptions for `design` (default p) and
-    report its moment under p next to lower_bound and upper_bound(...,
-    design) (see _row).
-    """
-    part = build_encoder(p if design is None else design, rho, m)
-    return _row(p, rho, m, design, n, rate, part.num_blocks, moment(p, part, rho)), part
-
-
 def _row(p, rho: float, m: int, design, n: int, rate: float, used: int,
          value: float) -> MomentReport:
     """The report of an encoder with `used` blocks and moment `value` under
@@ -424,8 +414,11 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     m = _description_count(rate_fr, n, letters.size)
     if isinstance(source, MarkovSource):
         design_law = None if design is None else iid_joint(design, n, cap)
-        return _report(markov_joint(source, n, cap), rho, m, design_law, n, float(rate_fr))[0]
-    law = TypeLaw(source, IidTypes(letters.size, n))
-    design_law = None if design is None else TypeLaw(design, law.types)
-    used, value = _type_encoder(law, design_law or law, rho, m)
+        law = markov_joint(source, n, cap)
+        part = build_encoder(design_law or law, rho, m)
+        used, value = part.num_blocks, moment(law, part, rho)
+    else:
+        law = TypeLaw(source, IidTypes(letters.size, n))
+        design_law = None if design is None else TypeLaw(design, law.types)
+        used, value = _type_encoder(law, design_law or law, rho, m)
     return _row(law, rho, m, design_law, n, float(rate_fr), used, value)

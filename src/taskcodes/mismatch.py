@@ -3,16 +3,16 @@
 Designing the encoder for Q while tasks are drawn from P costs extra rate;
 the penalty is Sundaresan's divergence
 
-    Delta_alpha(P||Q) = log2 [ (sum Q^alpha)
-                               * (sum P/Q^(1-alpha))^(alpha/(1-alpha))
-                               / (sum P^alpha)^(1/(1-alpha)) ]
+    Delta_alpha(P||Q) = log2 (sum Q^alpha) - H_alpha(P)
+                        + (alpha/(1-alpha)) * log2 (sum P/Q^(1-alpha))
 
-evaluated at alpha = 1/(1+rho).  Conventions 0/0 = 0 and a/0 = +inf apply
-symbol by symbol.  The three factors are computed separately in the log
-domain and only then combined.  This module holds the divergences only:
-the mismatched bound is taskcodes.coding.upper_bound(p, m, rho, design=q),
-and mismatched block experiments are
-taskcodes.coding.block_experiment(p, n, rate, rho, design=q).
+evaluated at alpha = 1/(1+rho), where H_alpha is the Renyi entropy.
+Conventions 0/0 = 0 and a/0 = +inf apply symbol by symbol.  The three
+terms are computed separately in the log domain and only then combined.
+This module holds the divergences only: the mismatched bound is
+taskcodes.coding.upper_bound(p, m, rho, design=q), and mismatched block
+experiments are taskcodes.coding.block_experiment(p, n, rate, rho,
+design=q).
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .probability import (
     _check_cap,
     kl_divergence,
     log2sumexp,
+    renyi_entropy,
 )
 
 
@@ -47,7 +48,7 @@ def sundaresan_divergence(p, q, alpha: float) -> float:
     _check_alphabets(p, q)
     lp, lq, counts = p.log_masses, q.log_masses, p.multiplicity
     log_a = log2sumexp(alpha * lq, counts)
-    log_b = log2sumexp(alpha * lp, counts)
+    h = renyi_entropy(p, alpha)
     supp_p = np.isfinite(lp)
     supp_q = np.isfinite(lq)
     if alpha < 1.0 and np.any(supp_p & ~supp_q):
@@ -58,7 +59,7 @@ def sundaresan_divergence(p, q, alpha: float) -> float:
     if math.isinf(log_c):
         # only reachable with alpha > 1 and disjoint supports
         return math.inf
-    value = log_a - log_b / (1.0 - alpha) + alpha / (1.0 - alpha) * log_c
+    value = log_a - h + alpha / (1.0 - alpha) * log_c
     if -1e-12 < value < 0.0:
         value = 0.0
     return value
@@ -68,17 +69,19 @@ def renyi_divergence(p, q, alpha: float) -> float:
     """Renyi divergence (1/(alpha-1)) * log2 sum P^alpha Q^(1-alpha) in bits.
 
     Kept around for comparison: it shares only the nonnegativity and the
-    alpha -> 1 limit with the Sundaresan divergence.
+    alpha -> 1 limit with the Sundaresan divergence.  Sums over TypeLaws
+    weight each type by its multiplicity.
     """
     _check_alpha(alpha)
     _check_alphabets(p, q)
-    lp, lq = p.log_masses, q.log_masses
+    lp, lq, counts = p.log_masses, q.log_masses, p.multiplicity
     supp_p = np.isfinite(lp)
     supp_q = np.isfinite(lq)
     if alpha > 1.0 and np.any(supp_p & ~supp_q):
         return math.inf
     both = supp_p & supp_q
-    s = log2sumexp(alpha * lp[both] + (1.0 - alpha) * lq[both])
+    s = log2sumexp(alpha * lp[both] + (1.0 - alpha) * lq[both],
+                   None if counts is None else counts[both])
     return s / (alpha - 1.0)
 
 

@@ -34,9 +34,9 @@ class Partition:
     Stored as two read-only int arrays: `labels[x]` is the index of the
     block holding x, with blocks numbered in the order they were given (the
     greedy constructor relies on it), and `sizes[b]` is the cardinality of
-    block b.  `blocks`, `block_of`, `block_size_of`, `cardinalities()` and
-    `to_text()` are views built on demand from these arrays.  Equality
-    ignores block order.
+    block b, so `sizes[labels[x]]` is L(x), the cardinality of the block
+    holding x.  `blocks` and `to_text()` are views built on demand from
+    these arrays.  Equality ignores block order.
     """
 
     __slots__ = ("labels", "sizes")
@@ -100,17 +100,6 @@ class Partition:
         members = np.argsort(small, kind="stable").tolist()
         bounds = [0, *itertools.accumulate(self.sizes.tolist())]
         return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    def block_of(self, x: int) -> int:
-        return int(self.labels[x])
-
-    def block_size_of(self, x: int) -> int:
-        """L(x): the cardinality of the block containing x."""
-        return int(self.sizes[self.labels[x]])
-
-    def cardinalities(self) -> list[int]:
-        """L(x) for every x in ground-set order."""
-        return self.sizes[self.labels].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):

@@ -260,10 +260,6 @@ class MarkovSource:
         mat.flags.writeable = False
         object.__setattr__(self, "transitions", mat)
 
-    @property
-    def num_states(self) -> int:
-        return self.initial.size
-
 
 def _check_cap(base: int, n: int, cap: int) -> None:
     """Refuse a block length below 1, or base^n tuples over the cap."""
@@ -509,7 +505,7 @@ class TypeLaw:
 def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
     """The joint law of the first n states of a Markov chain, a Pmf in the
     tuple order of iid_joint."""
-    base = src.num_states
+    base = src.initial.size
     _check_cap(base, n, cap)
     if base == 1:
         return src.initial  # the point mass, at any n
@@ -520,11 +516,6 @@ def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf
         last = np.arange(acc.size) % base
         acc = (acc[:, None] + log_t[last, :]).ravel()
     return Pmf(np.exp2(acc, out=acc))
-
-
-def markov_renyi_sum(src: MarkovSource, alpha: float, n: int) -> float:
-    """H_alpha(X^n) for a Markov chain (see markov_renyi_sums)."""
-    return markov_renyi_sums(src, alpha, [n])[0]
 
 
 def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
@@ -556,16 +547,18 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
     return out
 
 
-def kl_divergence(p: Pmf, q: Pmf) -> float:
+def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence D(p||q) in bits; +inf when supp(p) is not
-    contained in supp(q)."""
+    contained in supp(q).  Accepts two Pmfs, or two TypeLaws on the same
+    types, whose sum weights each type by its multiplicity."""
     _check_alphabets(p, q)
     supp = p.masses > 0.0
     if np.any(q.masses[supp] == 0.0):
         return math.inf
     pm = p.masses[supp]
     qm = q.masses[supp]
-    return math.fsum(pm * np.log2(pm / qm))
+    counts = None if p.multiplicity is None else p.multiplicity[supp]
+    return grouped_fsum(pm * np.log2(pm / qm), counts)
 
 
 def _data_lines(text: str):

@@ -22,7 +22,7 @@ from taskcodes import (
     kraft_sum,
     lower_bound,
     markov_joint,
-    markov_renyi_sum,
+    markov_renyi_sums,
     moment,
     product_additivity_check,
     renyi_entropy,
@@ -266,13 +266,13 @@ def test_criterion_10_markov_machinery():
         for src, max_n in ((chains[0], 12), (chains[1], 7), (chains[2], 6)):
             for n in range(1, max_n + 1):
                 for alpha in (0.5, 2.0):
-                    dp = markov_renyi_sum(src, alpha, n)
+                    dp = markov_renyi_sums(src, alpha, [n])[0]
                     ref = renyi_entropy(markov_joint(src, n), alpha)
                     if abs(dp - ref) > 1e-9:
                         return False
         # two-sided sweep around the n = 24 normalized DP entropy
         sticky = chains[0]
-        rate_mid = markov_renyi_sum(sticky, 0.5, 24) / 24
+        rate_mid = markov_renyi_sums(sticky, 0.5, [24])[0] / 24
         rate_hi = round(rate_mid + 0.15, 6)
         rate_lo = round(rate_mid - 0.15, 6)
         hi = [block_experiment(sticky, n, str(rate_hi), 1.0).moment

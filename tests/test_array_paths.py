@@ -191,9 +191,10 @@ class TestPartition:
         assert part.num_blocks == len(blocks)
         for i, block in enumerate(blocks):
             for x in block:
-                assert part.block_of(x) == i
-                assert part.block_size_of(x) == len(block)
-        assert part.cardinalities() == [part.block_size_of(x) for x in range(len(perm))]
+                assert part.labels[x] == i
+                assert part.sizes[part.labels[x]] == len(block)
+        assert part.sizes[part.labels].tolist() == [part.sizes[part.labels[x]]
+                                                    for x in range(len(perm))]
         reordered = Partition(list(reversed(blocks)))
         assert reordered == part and hash(reordered) == hash(part)
         assert Partition.from_text(part.to_text()) == part
@@ -202,6 +203,8 @@ class TestPartition:
         assert Partition.from_labels([1, 0, 1]).blocks == ((1,), (0, 2))
         with pytest.raises(ValueError, match="empty block"):
             Partition.from_labels([0, 2])
+        with pytest.raises(ValueError, match="empty block"):
+            Partition.from_labels([0, 2, 2])  # label 1 unused below the largest
         with pytest.raises(ValueError, match="empty block"):
             Partition.from_labels([0, 10 ** 12])
         with pytest.raises(ValueError, match="dense range"):

@@ -1,5 +1,8 @@
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +346,20 @@ class TestMismatch:
         assert code == 1
         assert "need --pmf, not --markov" in err
 
+    def test_empty_design_path_is_read(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["sweep", "--pmf", "bern01", "--q", "",
+                                                   "--rate", "0.9", "--rho", "1",
+                                                   "--n", "4..4"]))
+        assert code == 1
+        assert err.startswith("error: cannot read : ")
+
+    def test_empty_design_path_needs_pmf(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["sweep", "--markov", "markov", "--q", "",
+                                                   "--rate", "0.9", "--rho", "1",
+                                                   "--n", "4..4"]))
+        assert code == 1
+        assert err == "error: mismatched sweeps need --pmf, not --markov\n"
+
     @pytest.mark.parametrize("argv", [
         ["mismatch", "--pmf", "fair", "--q", "bern01", "--rate", "1.6", "--rho", "1",
          "--n", "4..8"],
@@ -379,6 +396,7 @@ class TestArgumentErrors:
         (["moment", "--pmf", "uniform4", "--rho", "1"], "required: --partition"),
         (["mismatch", "--pmf", "fair", "--q", "bern01", "--alpha"], "expected one argument"),
         (["frobnicate"], "invalid choice"),
+        (["entropy", "--pmf", "bern01", "--alpha", "x"], "error: bad alpha list 'x'\n"),
     ])
     def test_parser_failure_is_one_error_line(self, capsys, files, argv, message):
         code, err = run_error(capsys, fill(files, argv))
@@ -596,3 +614,32 @@ def test_readme_example_bytes(capsys, tmp_path, monkeypatch, command):
     (tmp_path / "u4.pmf").write_text("0.25\n0.25\n0.25\n0.25\n")
     (tmp_path / "fair.pmf").write_text("0.5\n0.5\n")
     assert run(capsys, command.split()) == (0, README_EXAMPLES[command])
+
+
+def test_readme_shell_block_runs(capsys, tmp_path, monkeypatch):
+    """Every `taskcodes` line of README.md's sh block, after the `printf`
+    lines before it have written their files, prints CSV with exit 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [block for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+                if re.search(r"^taskcodes ", block, flags=re.M)]
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        if words[0] == "printf":
+            text, redirect, name = words[1:]
+            assert redirect == ">", line
+            (tmp_path / name).write_text(text.replace("\\n", "\n"))
+            continue
+        assert words[0] == "taskcodes", line
+        code = main(words[1:])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), line
+        lines = captured.out.splitlines()
+        header = next(i for i, row in enumerate(lines) if "," in row)
+        widths = {row.count(",") for row in lines[header:]}
+        assert len(lines) > header + 1 and widths == {lines[header].count(",")}, line
+        commands += 1
+    assert commands > 0

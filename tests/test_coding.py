@@ -145,8 +145,16 @@ class TestBounds:
             part = build_encoder(p, rho, m)
             assert moment(p, part, rho) < upper_bound(p, m, rho)
 
+    def test_lower_needs_a_positive_m(self):
+        with pytest.raises(ValueError, match="M must be a positive integer"):
+            lower_bound(Pmf([0.5, 0.5]), 0, 1.0)
+
 
 class TestBruteForce:
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValueError, match="M must be a positive integer"):
+            brute_force_optimum(Pmf([0.5, 0.5]), 0, 1.0)
+
     def test_uniform_eight_two_blocks(self):
         val, part = brute_force_optimum(Pmf([1.0 / 8] * 8), 2, 1.0)
         assert val == pytest.approx(4.0, abs=1e-12)
@@ -270,6 +278,15 @@ class TestFloorPow2:
 
 
 class TestBlockExperiment:
+    def test_float_rate_is_rounded_to_six_places(self):
+        assert coding.as_rate(1 / 3) == Fraction("0.333333")
+        p = Pmf([0.9, 0.1])
+        assert block_experiment(p, 8, 0.9000001, 1.0) == block_experiment(p, 8, "0.9", 1.0)
+
+    def test_block_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="block length must be positive"):
+            block_experiment(Pmf([0.9, 0.1]), 0, "0.9", 1.0)
+
     def test_rate_above_entropy_trend(self):
         p = Pmf([0.9, 0.1])
         moments = []

@@ -125,6 +125,10 @@ class TestProductAdditivity:
     def test_n_equals_one(self):
         assert product_additivity_check(P_FAIR, Q_SKEW, 2.0, 1)
 
+    def test_infinite_on_both_sides(self):
+        # supp(p) is not inside supp(q): Delta_{1/2} is +inf at n = 1 and n = 3
+        assert product_additivity_check(P_FAIR, Pmf([1.0, 0.0]), 0.5, 3)
+
     def test_random_pairs(self):
         for i in range(50):
             r = rng(73, i)

@@ -33,8 +33,8 @@ class TestPartition:
 
     def test_cardinalities(self):
         part = Partition([[0, 1], [2]])
-        assert part.cardinalities() == [2, 2, 1]
-        assert part.block_size_of(2) == 1
+        assert part.sizes[part.labels].tolist() == [2, 2, 1]
+        assert part.sizes[part.labels[2]] == 1
 
     def test_text_roundtrip(self):
         part = Partition([[3], [0, 2], [1]])
@@ -99,6 +99,12 @@ class TestSubsetCountBound:
 
         oracle = min(expr(1.0 + (k - 1.0) * i / 1e5) for i in range(1, 10 ** 5 + 1))
         assert subset_count_bound(Fraction(37, 10), k) == oracle
+
+    @pytest.mark.parametrize("mu,k,message", [(1, 0, "alphabet size must be positive"),
+                                              (-1, 4, "mu must be nonnegative")])
+    def test_rejects_bad_arguments(self, mu, k, message):
+        with pytest.raises(ValueError, match=message):
+            subset_count_bound_detail(mu, k)
 
     def test_floor_is_exact_below_an_integer(self):
         # mu puts the grid point a = 4^(165/512) at 10 - 5e-13: the floor

@@ -12,7 +12,7 @@ from taskcodes import (
     iid_joint,
     kl_divergence,
     markov_joint,
-    markov_renyi_sum,
+    markov_renyi_sums,
     read_markov_text,
     read_pmf_text,
     renyi_entropy,
@@ -105,7 +105,7 @@ class TestRenyiRho:
         with pytest.raises(InvalidOrderError, match="finite"):
             renyi_entropy(Pmf([0.9, 0.1]), math.inf)
         with pytest.raises(InvalidOrderError, match="finite"):
-            markov_renyi_sum(MarkovSource(Pmf([1.0]), np.eye(1)), math.inf, 3)
+            markov_renyi_sums(MarkovSource(Pmf([1.0]), np.eye(1)), math.inf, [3])
 
 
 @pytest.mark.parametrize("n", [23, 20000, 10**7])
@@ -154,6 +154,16 @@ class TestIidJoint:
             iid_joint(Pmf([0.5, 0.5]), 11, cap=1 << 10)
 
 
+class TestMarkovSource:
+    def test_transition_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match="must be square"):
+            MarkovSource(Pmf([0.5, 0.5]), np.array([[0.5, 0.5]]))
+
+    def test_initial_law_must_share_the_states(self):
+        with pytest.raises(ValueError, match="share one state alphabet"):
+            MarkovSource(Pmf([1.0]), np.array([[0.9, 0.1], [0.1, 0.9]]))
+
+
 class TestMarkovJoint:
     def test_identity_chain(self):
         src = MarkovSource(Pmf([0.5, 0.5]), np.eye(2))
@@ -181,25 +191,25 @@ class TestMarkovRenyiSum:
         p = Pmf([0.2, 0.8])
         src = MarkovSource(p, np.array([[0.2, 0.8], [0.2, 0.8]]))
         for alpha in (0.5, 2.0):
-            got = markov_renyi_sum(src, alpha, 7)
+            got = markov_renyi_sums(src, alpha, [7])[0]
             assert got == pytest.approx(7 * renyi_entropy(p, alpha), abs=1e-9)
 
     def test_identity_chain_is_n_independent(self):
         src = MarkovSource(Pmf([1.0 / 3] * 3), np.eye(3))
         for n in (1, 5, 40):
-            assert markov_renyi_sum(src, 0.5, n) == pytest.approx(
+            assert markov_renyi_sums(src, 0.5, [n])[0] == pytest.approx(
                 math.log2(3), abs=1e-9
             )
 
     def test_matches_enumeration(self):
         src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]]))
-        got = markov_renyi_sum(src, 0.5, 10)
+        got = markov_renyi_sums(src, 0.5, [10])[0]
         ref = renyi_entropy(markov_joint(src, 10), 0.5)
         assert got == pytest.approx(ref, abs=1e-9)
 
     def test_large_n_does_not_underflow(self):
         src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.99, 0.01], [0.01, 0.99]]))
-        h = markov_renyi_sum(src, 0.5, 500)
+        h = markov_renyi_sums(src, 0.5, [500])[0]
         assert math.isfinite(h) and h > 0
 
 
@@ -232,7 +242,7 @@ class TestParsing:
 
     def test_markov_roundtrip(self):
         src = read_markov_text("2\n0.5 0.5\n0.9 0.1\n0.1 0.9\n")
-        assert src.num_states == 2
+        assert src.initial.size == 2
         assert src.transitions[0][0] == pytest.approx(0.9)
 
     def test_markov_shape_errors(self):

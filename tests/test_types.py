@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taskcodes import Pmf, block_experiment, build_encoder, iid_joint, moment
+from taskcodes import (AlphabetMismatchError, Pmf, block_experiment, build_encoder, iid_joint,
+                       kl_divergence, moment, renyi_divergence)
 from taskcodes.cli import main
 from taskcodes.coding import _description_count, _row, _type_encoder
 from taskcodes.errors import RateTooSmallError
 from taskcodes.mismatch import product_additivity_check, sundaresan_divergence
 from taskcodes.probability import IidTypes, TypeLaw, grouped_fsum
-from conftest import rng
+from conftest import random_pmf, rng
 
 MAX_N = {2: 20, 3: 13, 4: 8}
 
@@ -83,6 +84,17 @@ def test_type_row_is_the_enumerated_row(row):
             block_experiment(p, n, rate, rho, design)
         return
     assert fields(block_experiment(p, n, rate, rho, design)) == fields(want)
+
+
+@pytest.mark.parametrize("k,n", [(0, 3), (2, 0)])
+def test_types_need_letters_and_a_block_length(k, n):
+    with pytest.raises(ValueError, match="nonempty alphabet and a positive block length"):
+        IidTypes(k, n)
+
+
+def test_type_masses_need_the_letter_alphabet():
+    with pytest.raises(AlphabetMismatchError):
+        IidTypes(3, 2).log_masses(Pmf([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("k,n", [(1, 4), (2, 1), (2, 6), (3, 5), (4, 4), (6, 3)])
@@ -242,3 +254,19 @@ def test_type_divergence_is_the_enumerated_one():
         assert (sundaresan_divergence(TypeLaw(p, types), TypeLaw(q, types), alpha)
                 == sundaresan_divergence(tuples_of(iid_joint(p, 7)),
                                          tuples_of(iid_joint(q, 7)), alpha))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_renyi_and_kl_divergences_weight_each_type_by_its_multiplicity(k):
+    # a zero letter in p, then in q, reaches the support branches
+    for zeros_p, zeros_q in ((0, 0), (1, 0), (0, 1)):
+        r = rng(k, 10 * zeros_p + zeros_q)
+        p, q = random_pmf(r, k, zeros_p), random_pmf(r, k, zeros_q)
+        for n in range(1, 9):
+            types = IidTypes(k, n)
+            laws = TypeLaw(p, types), TypeLaw(q, types)
+            joints = iid_joint(p, n), iid_joint(q, n)
+            for alpha in (0.25, 0.5, 2.0):
+                assert (renyi_divergence(*laws, alpha)
+                        == pytest.approx(renyi_divergence(*joints, alpha), rel=1e-12))
+            assert kl_divergence(*laws) == pytest.approx(kl_divergence(*joints), rel=1e-12)
