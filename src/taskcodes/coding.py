@@ -49,8 +49,8 @@ from .probability import (
 
 
 def fmt(v: float) -> str:
-    """A float as the CSV outputs print it: 12 significant digits, or inf."""
-    return "inf" if math.isinf(v) else f"{v:.12g}"
+    """A float as the CSV prints it: 12 significant digits, 0 for -0.0, or inf."""
+    return "inf" if math.isinf(v) else f"{v + 0.0:.12g}"
 
 
 @dataclass
@@ -150,7 +150,7 @@ def moment(p: Pmf, part: Partition, rho: float) -> float:
         terms *= p.masses
     if math.isinf(powers.max()):
         terms[p.masses == 0.0] = 0.0
-    return math.fsum(terms)
+    return grouped_fsum(terms)
 
 
 def lower_bound(p, m: int, rho: float) -> float:

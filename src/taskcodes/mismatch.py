@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SupportViolationError
 from .probability import (
     DEFAULT_TUPLE_CAP,
@@ -30,10 +28,20 @@ from .probability import (
     _check_alpha,
     _check_alphabets,
     _check_cap,
+    _escapes,
     kl_divergence,
     log2sumexp,
     renyi_entropy,
 )
+
+
+def _log2_common_sum(p, q, a: float, b: float) -> float:
+    """log2 sum P^a Q^b over the symbols where both p and q are positive,
+    each weighted by its multiplicity."""
+    both = (p.masses > 0.0) & (q.masses > 0.0)
+    counts = p.multiplicity
+    return log2sumexp(a * p.log_masses[both] + b * q.log_masses[both],
+                      None if counts is None else counts[both])
 
 
 def sundaresan_divergence(p, q, alpha: float) -> float:
@@ -46,16 +54,11 @@ def sundaresan_divergence(p, q, alpha: float) -> float:
     """
     _check_alpha(alpha)
     _check_alphabets(p, q)
-    lp, lq, counts = p.log_masses, q.log_masses, p.multiplicity
-    log_a = log2sumexp(alpha * lq, counts)
+    log_a = log2sumexp(alpha * q.log_masses, p.multiplicity)
     h = renyi_entropy(p, alpha)
-    supp_p = np.isfinite(lp)
-    supp_q = np.isfinite(lq)
-    if alpha < 1.0 and np.any(supp_p & ~supp_q):
+    if alpha < 1.0 and _escapes(p, q):
         return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
-    both = supp_p & supp_q
-    log_c = log2sumexp(lp[both] + (alpha - 1.0) * lq[both],
-                       None if counts is None else counts[both])
+    log_c = _log2_common_sum(p, q, 1.0, alpha - 1.0)
     if math.isinf(log_c):
         # only reachable with alpha > 1 and disjoint supports
         return math.inf
@@ -74,15 +77,9 @@ def renyi_divergence(p, q, alpha: float) -> float:
     """
     _check_alpha(alpha)
     _check_alphabets(p, q)
-    lp, lq, counts = p.log_masses, q.log_masses, p.multiplicity
-    supp_p = np.isfinite(lp)
-    supp_q = np.isfinite(lq)
-    if alpha > 1.0 and np.any(supp_p & ~supp_q):
+    if alpha > 1.0 and _escapes(p, q):
         return math.inf
-    both = supp_p & supp_q
-    s = log2sumexp(alpha * lp[both] + (1.0 - alpha) * lq[both],
-                   None if counts is None else counts[both])
-    return s / (alpha - 1.0)
+    return _log2_common_sum(p, q, alpha, 1.0 - alpha) / (alpha - 1.0)
 
 
 @dataclass(frozen=True)
@@ -105,11 +102,9 @@ def divergence_limits(p: Pmf, q: Pmf) -> DivergenceLimits:
     Requires supp(p) <= supp(q) (the alpha -> 0 limit needs it).
     """
     _check_alphabets(p, q)
-    supp_p = p.masses > 0.0
-    supp_q = q.masses > 0.0
-    if np.any(supp_p & ~supp_q):
+    if _escapes(p, q):
         raise SupportViolationError("supp(p) must be contained in supp(q)")
-    order0 = math.log2(int(supp_q.sum()) / int(supp_p.sum()))
+    order0 = math.log2(q.support.size / p.support.size)
     qmax = float(q.masses.max())
     argmax = q.masses >= qmax - 1e-12
     avg = float(p.masses[argmax].mean())

@@ -18,7 +18,6 @@ import decimal
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -187,9 +186,6 @@ class LambdaBudget:
     def size(self) -> int:
         return int(self.codes.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     @property
     def mu(self) -> Fraction:
         """sum_x 1/lambda(x) as an exact rational."""
@@ -357,24 +353,14 @@ def build_partition(budget: LambdaBudget) -> Partition:
     return Partition.from_labels(labels)
 
 
-class BudgetCheck(NamedTuple):
-    ok: bool
-    violator: int | None
-    message: str
-
-
-def verify_budget(part: Partition, budget: LambdaBudget) -> BudgetCheck:
-    """Check L(x) <= min(lambda(x), k) for every element; on failure report
-    the first violating element."""
+def verify_budget(part: Partition, budget: LambdaBudget) -> int | None:
+    """The first element x whose block is larger than min(lambda(x), k), or
+    None when every element keeps to its budget."""
     if part.ground_size != budget.size:
         raise GroundSetMismatchError(
             f"partition covers {part.ground_size} elements, budget has {budget.size}"
         )
     k = part.ground_size
     limits = np.array([min(b, k) for b in budget.values])[budget.codes]
-    got = part.sizes[part.labels]
-    over = np.flatnonzero(got > limits)
-    if over.size:
-        x = int(over[0])
-        return BudgetCheck(False, x, f"element {x}: block size {got[x]} > {limits[x]}")
-    return BudgetCheck(True, None, "ok")
+    over = np.flatnonzero(part.sizes[part.labels] > limits)
+    return int(over[0]) if over.size else None

@@ -174,6 +174,11 @@ def _check_alphabets(p, q) -> None:
         )
 
 
+def _escapes(p, q) -> bool:
+    """True when supp(p) is not contained in supp(q)."""
+    return bool(np.any((p.masses > 0.0) & (q.masses == 0.0)))
+
+
 def _with_logs(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """masses and their log2, both read-only."""
     with np.errstate(divide="ignore"):
@@ -223,9 +228,6 @@ class Pmf:
     def size(self) -> int:
         return int(self.masses.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     @property
     def support(self) -> np.ndarray:
         """Indices with strictly positive mass."""
@@ -238,10 +240,12 @@ class Pmf:
 @dataclass(frozen=True)
 class MarkovSource:
     """A time-invariant Markov chain: initial distribution + row-stochastic
-    transition matrix over one shared state alphabet."""
+    transition matrix over one shared state alphabet.  `log_transitions`
+    holds log2 of the transitions, -inf at a zero one; both are read-only."""
 
     initial: Pmf
     transitions: np.ndarray = field(repr=False)
+    log_transitions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.transitions, dtype=float)
@@ -257,8 +261,9 @@ class MarkovSource:
         if bad.size:
             raise ValueError(f"transition row {bad[0]} sums to {float(sums[bad[0]])!r}")
         mat /= sums[:, None]
-        mat.flags.writeable = False
+        mat, logs = _with_logs(mat)
         object.__setattr__(self, "transitions", mat)
+        object.__setattr__(self, "log_transitions", logs)
 
 
 def _check_cap(base: int, n: int, cap: int) -> None:
@@ -509,12 +514,10 @@ def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf
     _check_cap(base, n, cap)
     if base == 1:
         return src.initial  # the point mass, at any n
-    with np.errstate(divide="ignore"):
-        log_t = np.log2(src.transitions)
     acc = src.initial.log_masses.copy()
     for _ in range(n - 1):
         last = np.arange(acc.size) % base
-        acc = (acc[:, None] + log_t[last, :]).ravel()
+        acc = (acc[:, None] + src.log_transitions[last, :]).ravel()
     return Pmf(np.exp2(acc, out=acc))
 
 
@@ -532,11 +535,9 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
     _check_alpha(alpha)
     out = []
     k = 1
-    # divide: log2 of a zero transition; invalid: a row of -inf only
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_t = np.log2(src.transitions)
+    with np.errstate(invalid="ignore"):  # a row of -inf only
         lv = alpha * src.initial.log_masses
-        step_t = np.ascontiguousarray((alpha * log_t).T)
+        step_t = np.ascontiguousarray((alpha * src.log_transitions).T)
         for n in ns:
             if n < k:
                 raise ValueError("block lengths must be positive and nondecreasing")
@@ -552,9 +553,9 @@ def kl_divergence(p, q) -> float:
     contained in supp(q).  Accepts two Pmfs, or two TypeLaws on the same
     types, whose sum weights each type by its multiplicity."""
     _check_alphabets(p, q)
-    supp = p.masses > 0.0
-    if np.any(q.masses[supp] == 0.0):
+    if _escapes(p, q):
         return math.inf
+    supp = p.masses > 0.0
     pm = p.masses[supp]
     qm = q.masses[supp]
     counts = None if p.multiplicity is None else p.multiplicity[supp]

@@ -94,7 +94,7 @@ def test_criterion_3_construction_guarantee():
             r = rng(SEED + 1, i)
             budget = random_budget(r, r.randint(1, 64))
             part = build_partition(budget)
-            if not verify_budget(part, budget).ok:
+            if verify_budget(part, budget) is not None:
                 return False
             if part.num_blocks > subset_count_bound(budget.mu, budget.size):
                 return False

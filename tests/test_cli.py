@@ -112,6 +112,21 @@ class TestEntropy:
         assert code == 2
         assert "rho must be positive" in err
 
+    def test_point_mass_prints_zero_not_minus_zero(self, capsys, files):
+        one = files["tmp"] / "one.pmf"
+        one.write_text("1\n")
+        code, out = run(capsys, ["entropy", "--pmf", str(one), "--alpha", "0.5,2"])
+        assert code == 0
+        assert out == "alpha,entropy_bits\n0.5,0\n2,0\n"
+
+    def test_markov_start_in_one_state_prints_zero(self, capsys, files):
+        chain = files["tmp"] / "start.markov"
+        chain.write_text("2\n1 0\n0.9 0.1\n0.1 0.9\n")
+        code, out = run(capsys, ["entropy", "--markov", str(chain),
+                                 "--alpha", "2", "--n", "1..1"])
+        assert code == 0
+        assert out == "n,entropy_rate_bits\n1,0\n"
+
     def test_malformed_pmf_is_usage_error(self, capsys, files):
         bad = files["tmp"] / "bad.pmf"
         bad.write_text("0.5\nnope\n")
@@ -291,6 +306,13 @@ class TestMismatch:
         assert code == 0
         for line in out.splitlines()[1:]:
             assert float(line.split(",")[1]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_equal_laws_print_zero_not_minus_zero(self, capsys, files):
+        # for p = q below order 1 the Renyi sum is 0, and 0/(alpha - 1) is -0.0
+        code, out = run(capsys, ["mismatch", "--pmf", str(files["fair"]),
+                                 "--q", str(files["fair"]), "--alpha", "0.25,0.5"])
+        assert code == 0
+        assert out == "alpha,delta,renyi_div,kl\n0.25,0,0,0\n0.5,0,0,0\n"
 
     def test_fair_vs_skew_value(self, capsys, files):
         code, out = run(capsys, ["mismatch", "--pmf", str(files["fair"]),

@@ -190,7 +190,7 @@ class TestBuildPartition:
             r = rng(5, i)
             lb = random_budget(r, r.randint(1, 64))
             part = build_partition(lb)
-            assert verify_budget(part, lb).ok
+            assert verify_budget(part, lb) is None
             assert part.num_blocks <= subset_count_bound(lb.mu, lb.size)
 
     def test_label_invariance(self):
@@ -222,17 +222,25 @@ class TestBuildPartition:
 class TestVerifyBudget:
     def test_constructor_output_passes(self):
         lb = LambdaBudget([3, 1, 2, 8, 1])
-        assert verify_budget(build_partition(lb), lb).ok
+        assert verify_budget(build_partition(lb), lb) is None
 
     def test_single_block_against_unit_budgets(self):
-        check = verify_budget(Partition([[0, 1, 2, 3]]), LambdaBudget([1] * 4))
-        assert not check.ok
-        assert check.violator == 0
+        violator = verify_budget(Partition([[0, 1, 2, 3]]), LambdaBudget([1] * 4))
+        assert violator is not None
+        assert violator == 0
 
     def test_singletons_always_pass(self):
         part = Partition([[x] for x in range(4)])
-        assert verify_budget(part, LambdaBudget([1, 2, 3, math.inf])).ok
+        assert verify_budget(part, LambdaBudget([1, 2, 3, math.inf])) is None
 
     def test_ground_set_mismatch(self):
         with pytest.raises(GroundSetMismatchError):
             verify_budget(Partition([[0, 1]]), LambdaBudget([1, 1, 1]))
+
+    def test_first_violator_past_a_fine_element(self):
+        # element 0 is alone; 1 sits in a block of 3 over its budget 1
+        assert verify_budget(Partition([[0], [1, 2, 3]]), LambdaBudget([1, 1, 3, 3])) == 1
+
+    def test_every_budget_kept_gives_none(self):
+        part = Partition([[0, 1], [2, 3, 4]])
+        assert verify_budget(part, LambdaBudget([2, 5, 3, math.inf, 3])) is None

@@ -163,6 +163,16 @@ class TestMarkovSource:
         with pytest.raises(ValueError, match="share one state alphabet"):
             MarkovSource(Pmf([1.0]), np.array([[0.9, 0.1], [0.1, 0.9]]))
 
+    def test_log_transitions(self):
+        src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.75, 0.25], [0.0, 1.0]]))
+        with np.errstate(divide="ignore"):
+            expected = np.log2(src.transitions)
+        assert np.array_equal(src.log_transitions, expected)
+        assert src.log_transitions[1, 0] == -math.inf
+        assert not src.log_transitions.flags.writeable
+        with pytest.raises(ValueError):
+            src.log_transitions[0, 0] = 0.0
+
 
 class TestMarkovJoint:
     def test_identity_chain(self):
