@@ -146,7 +146,7 @@ def _cap(args) -> int:
     return args.cap or DEFAULT_TUPLE_CAP
 
 
-def cmd_entropy(args) -> None:
+def cmd_entropy(args) -> list[str]:
     lines = []
     if args.pmf is not None:
         p = _load(args.pmf, read_pmf_text)
@@ -168,16 +168,15 @@ def cmd_entropy(args) -> None:
         lines.append("n,entropy_rate_bits")
         for n, h in zip(ns, markov_renyi_sums(src, args.alpha[0], ns)):
             lines.append(f"{n},{fmt(h / n)}")
-    _emit(lines, args.out)
+    return lines
 
 
-def cmd_construct(args) -> None:
+def cmd_construct(args) -> list[str]:
     if args.budgets is not None:
         part = build_partition(_load(args.budgets, _read_budgets))
         lines = part.to_text().rstrip("\n").split("\n")
         lines.append(f"# blocks={part.num_blocks} kraft_sum={kraft_sum(part)}")
-        _emit(lines, args.out)
-        return
+        return lines
     if args.M is None or args.rho is None:
         raise UsageError("construct --pmf needs --M and --rho")
     p = _load(args.pmf, read_pmf_text)
@@ -187,24 +186,22 @@ def cmd_construct(args) -> None:
     lines = part.to_text().rstrip("\n").split("\n")
     lines.append(MomentReport.CSV_HEADER)
     lines.append(report.csv_row())
-    _emit(lines, args.out)
+    return lines
 
 
-def cmd_moment(args) -> None:
+def cmd_moment(args) -> list[str]:
     p = _load(args.pmf, read_pmf_text)
     part = _load(args.partition, Partition.from_text)
-    _emit([fmt(moment(p, part, args.rho))], args.out)
+    return [fmt(moment(p, part, args.rho))]
 
 
-def cmd_oracle(args) -> None:
+def cmd_oracle(args) -> list[str]:
     p = _load(args.pmf, read_pmf_text)
     value, part = brute_force_optimum(p, args.M, args.rho)
-    lines = [fmt(value)]
-    lines.extend(part.to_text().rstrip("\n").split("\n"))
-    _emit(lines, args.out)
+    return [fmt(value), *part.to_text().rstrip("\n").split("\n")]
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args) -> list[str]:
     cap = _cap(args)
     design = None
     if args.markov is not None:
@@ -224,10 +221,10 @@ def cmd_sweep(args) -> None:
         bits = sundaresan_divergence(source, design, _rho_order(args.rho))
         suffix = f",{os.path.basename(args.q)},{fmt(bits)}"
     lines.extend(report.csv_row() + suffix for report in rows)
-    _emit(lines, args.out)
+    return lines
 
 
-def cmd_mismatch(args) -> None:
+def cmd_mismatch(args) -> list[str]:
     p = _load(args.pmf, read_pmf_text)
     q = _load(args.q, read_pmf_text)
     alphas = [0.25, 0.5, 2.0, 4.0] if args.alpha is None else args.alpha
@@ -237,7 +234,7 @@ def cmd_mismatch(args) -> None:
         d = sundaresan_divergence(p, q, alpha)
         r = renyi_divergence(p, q, alpha)
         lines.append(f"{fmt(alpha)},{fmt(d)},{fmt(r)},{fmt(kl)}")
-    _emit(lines, args.out)
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +311,7 @@ _EXIT_CODES = {DescriptionCountTooSmallError: 2, RateTooSmallError: 2,
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.func(args)
+        _emit(args.func(args), args.out)
     except SystemExit:  # --help; every other parser failure is a UsageError
         return 0
     except OverflowError as exc:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     DescriptionCountTooSmallError,
     RateTooSmallError,
 )
-from .mismatch import sundaresan_divergence
+from .mismatch import _sundaresan
 from .partitions import (LambdaBudget, Partition, _ziv_floor, build_partition,
                          greedy_pieces)
 from .probability import (
@@ -53,8 +53,7 @@ def fmt(v: float) -> str:
     return "inf" if math.isinf(v) else f"{v + 0.0:.12g}"
 
 
-@dataclass
-class MomentReport:
+class MomentReport(NamedTuple):
     """One row of a block-length experiment."""
 
     n: int
@@ -71,18 +70,14 @@ class MomentReport:
     CSV_HEADER = "n,R,rho,M,N,moment,lower,upper,m_tilde,delta"
 
     def csv_row(self) -> str:
-        return ",".join([
-            str(self.n), fmt(self.rate), fmt(self.rho),
-            str(self.description_count), str(self.used_count),
-            fmt(self.moment), fmt(self.lower), fmt(self.upper),
-            fmt(self.m_tilde), fmt(self.delta),
-        ])
+        """The fields in order: n, M and N (0, 3, 4) exactly, the rest through fmt."""
+        return ",".join(str(v) if i in (0, 3, 4) else fmt(v) for i, v in enumerate(self))
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of an array, and the index of each entry
-    among them.  (By hand: np.unique imports numpy.ma, 1.2 MB, on first
-    use.)"""
+    among them.  (By hand: np.unique gives the same values and ranks, but
+    flattens a copy of its input, 32 MB more peak memory at 2^22 budgets.)"""
     order = np.argsort(values)
     ordered = values[order]
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
@@ -92,7 +87,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], ranks
 
 
-def lambda_from_law(p: Pmf | TypeLaw, rho: float, m: int) -> LambdaBudget:
+def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
     """Budgets ceil(beta * P(x)^(-1/(1+rho))) (inf on zero mass), with beta
     chosen just large enough that the greedy builder fits in M blocks:
     beta = 2 * sum_x P(x)^(1/(1+rho)) / (M - log2|X| - 2).
@@ -121,8 +116,7 @@ def lambda_from_law(p: Pmf | TypeLaw, rho: float, m: int) -> LambdaBudget:
     if np.isinf(budgets[p.masses > 0.0]).any():
         raise OverflowError("cannot convert float infinity to integer")
     values, index = _distinct(budgets)
-    return LambdaBudget.from_index([b if b == math.inf else int(b) for b in values.tolist()],
-                                   index)
+    return LambdaBudget([b if b == math.inf else int(b) for b in values.tolist()], index)
 
 
 def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
@@ -174,7 +168,7 @@ def upper_bound(p, m: int, rho: float, design: Pmf | None = None) -> float:
     joins the exponent, and the bound is +inf when the divergence is."""
     h = renyi_rho(p, rho)
     if design is not None:
-        h += sundaresan_divergence(p, design, _rho_order(rho))
+        h += _sundaresan(p, design, _rho_order(rho), h)
     mt = m_tilde(m, p.size)
     if mt <= 0.0:
         return math.inf

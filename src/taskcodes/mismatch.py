@@ -17,7 +17,7 @@ design=q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SupportViolationError
 from .probability import (
@@ -53,9 +53,13 @@ def sundaresan_divergence(p, q, alpha: float) -> float:
     contained in supp(q)) or (alpha > 1 and the supports are disjoint).
     """
     _check_alpha(alpha)
+    return _sundaresan(p, q, alpha, renyi_entropy(p, alpha))
+
+
+def _sundaresan(p, q, alpha: float, h: float) -> float:
+    """sundaresan_divergence(p, q, alpha) for a checked order and h = H_alpha(p)."""
     _check_alphabets(p, q)
     log_a = log2sumexp(alpha * q.log_masses, p.multiplicity)
-    h = renyi_entropy(p, alpha)
     if alpha < 1.0 and _escapes(p, q):
         return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
     log_c = _log2_common_sum(p, q, 1.0, alpha - 1.0)
@@ -82,8 +86,7 @@ def renyi_divergence(p, q, alpha: float) -> float:
     return _log2_common_sum(p, q, alpha, 1.0 - alpha) / (alpha - 1.0)
 
 
-@dataclass(frozen=True)
-class DivergenceLimits:
+class DivergenceLimits(NamedTuple):
     """Closed-form limits of Delta_alpha plus numeric probes near them."""
 
     kl: float                # alpha -> 1

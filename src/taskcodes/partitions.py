@@ -152,19 +152,10 @@ class LambdaBudget:
 
     __slots__ = ("values", "codes")
 
-    def __init__(self, budgets) -> None:
-        self._set(budgets, None)
-
-    @classmethod
-    def from_index(cls, budgets, index) -> "LambdaBudget":
-        """The budget map x -> budgets[index[x]], for budgets given once per
-        distinct key (say, per distinct mass) and an int array mapping each
-        element to its key."""
-        lb = cls.__new__(cls)
-        lb._set(budgets, np.asarray(index))
-        return lb
-
-    def _set(self, budgets, index) -> None:
+    def __init__(self, budgets, index=None) -> None:
+        """The budget map x -> budgets[x], or with `index`, an int array,
+        x -> budgets[index[x]]: budgets given once per distinct key (say, per
+        distinct mass) and each element mapped to its key."""
         cleaned = [_clean_budget(b) for b in budgets]
         if not cleaned:
             raise ValueError("need at least one budget")
@@ -173,7 +164,7 @@ class LambdaBudget:
         codes = np.array([rank[b] for b in cleaned],
                          dtype=np.min_scalar_type(len(values) - 1))
         if index is not None:
-            codes = codes[index]
+            codes = codes[np.asarray(index)]
         codes.flags.writeable = False
         self.values = tuple(values)
         self.codes = codes

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,14 +214,12 @@ class Pmf:
     #: each symbol is one outcome (a TypeLaw's symbols stand for several)
     multiplicity = None
 
-    @classmethod
-    def _normalized(cls, raw: np.ndarray) -> "Pmf":
-        """The Pmf of raw / (the correctly rounded sum of raw), with no
-        checks and no second normalization."""
-        pmf = cls.__new__(cls)
-        raw /= grouped_fsum(raw)
-        pmf.masses, pmf.log_masses = _with_logs(raw)
-        return pmf
+    def _normalize(self, raw: np.ndarray) -> "Pmf":
+        """Take raw / (the correctly rounded sum of raw, each symbol counted
+        multiplicity times) as the masses, with no checks; return self."""
+        raw /= grouped_fsum(raw, self.multiplicity)
+        self.masses, self.log_masses = _with_logs(raw)
+        return self
 
     @property
     def size(self) -> int:
@@ -234,24 +231,21 @@ class Pmf:
         return np.flatnonzero(self.masses > 0.0)
 
     def __repr__(self) -> str:
-        return f"Pmf({self.masses.tolist()!r})"
+        return f"{type(self).__name__}({self.masses.tolist()!r})"
 
 
-@dataclass(frozen=True)
 class MarkovSource:
     """A time-invariant Markov chain: initial distribution + row-stochastic
     transition matrix over one shared state alphabet.  `log_transitions`
     holds log2 of the transitions, -inf at a zero one; both are read-only."""
 
-    initial: Pmf
-    transitions: np.ndarray = field(repr=False)
-    log_transitions: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("initial", "transitions", "log_transitions")
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.transitions, dtype=float)
+    def __init__(self, initial: Pmf, transitions) -> None:
+        mat = np.array(transitions, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("transition matrix must be square")
-        if mat.shape[0] != self.initial.size:
+        if mat.shape[0] != initial.size:
             raise ValueError("initial distribution and transition matrix "
                              "must share one state alphabet")
         if not np.all(np.isfinite(mat)) or np.any(mat < 0.0):
@@ -261,9 +255,8 @@ class MarkovSource:
         if bad.size:
             raise ValueError(f"transition row {bad[0]} sums to {float(sums[bad[0]])!r}")
         mat /= sums[:, None]
-        mat, logs = _with_logs(mat)
-        object.__setattr__(self, "transitions", mat)
-        object.__setattr__(self, "log_transitions", logs)
+        self.initial = initial
+        self.transitions, self.log_transitions = _with_logs(mat)
 
 
 def _check_cap(base: int, n: int, cap: int) -> None:
@@ -328,7 +321,7 @@ def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
             else:
                 sums += terms
         acc[block * len(letters):(block + 1) * len(letters)] = sums
-    return Pmf._normalized(np.exp2(acc, out=acc))
+    return Pmf.__new__(Pmf)._normalize(np.exp2(acc, out=acc))
 
 
 def _digits(values: np.ndarray, k: int, width: int) -> np.ndarray:
@@ -483,20 +476,19 @@ def _binomials(top: np.ndarray, below: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.comb, top.tolist(), below.tolist())), dtype=object)
 
 
-class TypeLaw:
+class TypeLaw(Pmf):
     """The law of n i.i.d. letters of a Pmf held on the classes of an
-    IidTypes: `masses[t]` and `log_masses[t]` are the mass of each tuple of
-    type t, as iid_joint gives it, and `multiplicity` counts those tuples.
-    `size` is k^n, the number of tuples; sums over the law weight each type
-    by its multiplicity (grouped_fsum)."""
+    IidTypes: a Pmf whose symbols are types.  `masses[t]` and
+    `log_masses[t]` are the mass of each tuple of type t, as iid_joint gives
+    it, and `multiplicity` counts those tuples.  `size` is k^n, the number
+    of tuples; sums over the law weight each type by its multiplicity
+    (grouped_fsum)."""
 
-    __slots__ = ("types", "masses", "log_masses")
+    __slots__ = ("types",)
 
     def __init__(self, p: Pmf, types: IidTypes) -> None:
         self.types = types
-        raw = np.exp2(types.log_masses(p))
-        raw /= grouped_fsum(raw, types.multiplicity)
-        self.masses, self.log_masses = _with_logs(raw)
+        self._normalize(np.exp2(types.log_masses(p)))
 
     @property
     def multiplicity(self) -> np.ndarray:
@@ -505,6 +497,10 @@ class TypeLaw:
     @property
     def size(self) -> int:
         return self.types.size
+
+    @property
+    def support(self):  # its indices would be types, while `size` counts tuples
+        raise TypeError("a TypeLaw has no support over its tuples; use iid_joint")
 
 
 def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:

@@ -85,7 +85,7 @@ class TestBuildPartition:
         keys = sorted(set(budgets), key=str)
         r.shuffle(keys)
         index = np.array([keys.index(b) for b in budgets])
-        indexed = LambdaBudget.from_index(keys, index)
+        indexed = LambdaBudget(keys, index)
         listed = LambdaBudget(budgets)
         assert indexed.budgets == listed.budgets
         assert build_partition(indexed) == build_partition(listed)
@@ -106,7 +106,7 @@ class TestLambdaBudget:
 
     def test_indexed_budgets_are_checked(self):
         with pytest.raises(ValueError, match="positive integer or inf"):
-            LambdaBudget.from_index([3, 0], np.array([0, 1]))
+            LambdaBudget([3, 0], np.array([0, 1]))
 
 
 def scalar_budgets(p: Pmf, rho: float, m: int) -> tuple:

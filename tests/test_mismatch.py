@@ -16,6 +16,7 @@ from taskcodes import (
     sundaresan_divergence,
     upper_bound,
 )
+from taskcodes import mismatch, probability
 from conftest import random_pmf, random_pmf_gapped, rng
 
 P_FAIR = Pmf([0.5, 0.5])
@@ -109,6 +110,11 @@ class TestDivergenceLimits:
         with pytest.raises(SupportViolationError):
             divergence_limits(Pmf([0.5, 0.5]), Pmf([1.0, 0.0]))
 
+    def test_fields_by_name_and_position(self):
+        lim = divergence_limits(Pmf([0.7, 0.3]), Pmf([0.5, 0.5]))
+        assert tuple(lim) == (lim.kl, lim.order0, lim.order_inf, lim.probes)
+        assert lim[2] == pytest.approx(math.log2(1.4), abs=1e-12)
+
 
 class TestProductAdditivity:
     def test_equal_laws(self):
@@ -195,3 +201,15 @@ class TestMismatchedBlockExperiment:
             assert mis.upper > 2.0
             assert sundaresan_divergence(P_FAIR, Q_SKEW, 0.5) == pytest.approx(
                 DELTA_HALF, abs=1e-12)
+
+    def test_design_row_takes_the_source_sum_twice(self, monkeypatch):
+        # once for each public bound: the penalty reuses the upper bound's
+        plain, orders = probability.renyi_entropy, []
+
+        def counted(dist, alpha):
+            orders.append(alpha)
+            return plain(dist, alpha)
+        for module in (probability, mismatch):
+            monkeypatch.setattr(module, "renyi_entropy", counted)
+        block_experiment(P_FAIR, 8, "1.6", 1.0, design=Q_SKEW)
+        assert orders == [0.5, 0.5]

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taskcodes import (AlphabetMismatchError, Pmf, block_experiment, build_encoder, iid_joint,
+from taskcodes import (AlphabetMismatchError, MomentReport, Pmf, block_experiment,
+                       brute_force_optimum, build_encoder, divergence_limits, iid_joint,
                        kl_divergence, moment, renyi_divergence)
 from taskcodes.cli import main
 from taskcodes.coding import _description_count, _row, _type_encoder
@@ -44,7 +45,7 @@ def enumerated_row(p, n, rate, rho, design=None):
 def fields(report):
     """The report's fields, with nan made comparable."""
     return [("nan" if isinstance(v, float) and math.isnan(v) else v)
-            for v in vars(report).values()]
+            for v in report]
 
 
 # weights 0..6 give zero masses and letters of equal mass (types of equal
@@ -270,3 +271,45 @@ def test_renyi_and_kl_divergences_weight_each_type_by_its_multiplicity(k):
                 assert (renyi_divergence(*laws, alpha)
                         == pytest.approx(renyi_divergence(*joints, alpha), rel=1e-12))
             assert kl_divergence(*laws) == pytest.approx(kl_divergence(*joints), rel=1e-12)
+
+
+def test_type_law_is_a_pmf():
+    law = TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3))
+    assert isinstance(law, Pmf)
+    assert repr(law) == "TypeLaw([0.125, 0.125, 0.125, 0.125])"
+
+
+def test_divergence_limits_refuse_a_type_law():
+    # counting types, not tuples, would give order0 = log2(6/3) where log2(9/4) is right
+    p, q = Pmf([0.5, 0.5, 0.0]), Pmf([1 / 3] * 3)
+    types = IidTypes(3, 2)
+    with pytest.raises(TypeError, match="no support over its tuples"):
+        divergence_limits(TypeLaw(p, types), TypeLaw(q, types))
+    joint = divergence_limits(iid_joint(p, 2), iid_joint(q, 2))
+    assert joint.order0 == pytest.approx(math.log2(9 / 4), abs=1e-12)
+
+
+def test_oracle_refuses_a_type_law():
+    # 4 types stand for 8 tuples; types 4..7 would pass for zero-mass elements
+    with pytest.raises(TypeError, match="no support over its tuples"):
+        brute_force_optimum(TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3)), 2, 1.0)
+
+
+def test_rho_prints_through_fmt_whatever_its_type():
+    row = MomentReport(1, 1.0, Fraction(1, 2), 2, 2, 1.0, 1.0, 1.0, 1.0, 0.0)
+    assert row.csv_row() == "1,1,0.5,2,2,1,1,1,1,0"
+    assert row._replace(rho=np.float32(1)).csv_row() == "1,1,1,2,2,1,1,1,1,0"
+
+
+def test_counts_past_2_53_print_exactly():
+    row = block_experiment(Pmf([0.5, 0.5]), 60, "1", 1.0, cap=1 << 61)
+    assert row.csv_row().startswith(
+        "60,1,1,1152921504606846976,576460752303423488,2,")
+
+
+def test_report_fields_by_name_and_position():
+    row = block_experiment(Pmf([0.9, 0.1]), 4, "0.9", 1.0)
+    assert tuple(row) == (row.n, row.rate, row.rho, row.description_count,
+                          row.used_count, row.moment, row.lower, row.upper,
+                          row.m_tilde, row.delta)
+    assert (row[0], row[3], row[4]) == (4, 12, row.used_count)
