@@ -139,13 +139,6 @@ def _emit(lines: list[str], out: str | None) -> None:
         raise UsageError(f"cannot write {out}: {exc}") from None
 
 
-def _cap(args) -> int:
-    env = os.environ.get("TASKCODES_CAP")
-    if args.cap is None and env:
-        return _positive("TASKCODES_CAP")(env)
-    return args.cap or DEFAULT_TUPLE_CAP
-
-
 def cmd_entropy(args) -> list[str]:
     lines = []
     if args.pmf is not None:
@@ -202,7 +195,6 @@ def cmd_oracle(args) -> list[str]:
 
 
 def cmd_sweep(args) -> list[str]:
-    cap = _cap(args)
     design = None
     if args.markov is not None:
         if args.q is not None:
@@ -212,7 +204,7 @@ def cmd_sweep(args) -> list[str]:
         source = _load(args.pmf, read_pmf_text)
         if args.q is not None:
             design = _load(args.q, read_pmf_text)
-    rows = [block_experiment(source, n, args.rate, args.rho, design, cap)
+    rows = [block_experiment(source, n, args.rate, args.rho, design, args.cap)
             for n in args.n[::args.step]]
     lines = [MomentReport.CSV_HEADER]
     suffix = ""
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--rho", type=float, required=True, help="moment order rho")
     arg("--n", type=_n_range, required=True, help="block-length range A..B")
     arg("--step", type=_positive("--step"), default=1, help="range step")
-    arg("--cap", type=_positive("--cap"), help="tuple enumeration cap (or env TASKCODES_CAP)")
+    arg("--cap", type=_positive("--cap"), default=DEFAULT_TUPLE_CAP, help="tuple enumeration cap")
 
     arg = command("mismatch", cmd_mismatch,
                   "divergence tables (mismatched sweeps: sweep --q)").add_argument

@@ -123,6 +123,8 @@ def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
     """The encoder with m descriptions for p: the greedy partition of the
     law-derived budgets, whose N blocks never exceed M.  Requires
     M > log2|X| + 2."""
+    if p.multiplicity is not None:  # its blocks would hold types, while its size counts tuples
+        raise TypeError("a TypeLaw has no encoder over its tuples; use iid_joint")
     part = build_partition(lambda_from_law(p, rho, m))
     if part.num_blocks > m:
         raise ValueError(f"{part.num_blocks} preimages exceed M = {m}")
@@ -132,6 +134,8 @@ def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
 def moment(p: Pmf, part: Partition, rho: float) -> float:
     """The rho-th moment sum_x P(x) L(x)^rho of the encoder `part` under p."""
     _check_rho(rho)
+    if p.multiplicity is not None:  # its masses are per type, the partition's labels per tuple
+        raise TypeError("a TypeLaw has no moment over its tuples; use iid_joint")
     if p.size != part.ground_size:
         raise AlphabetMismatchError(
             f"pmf over {p.size} symbols vs encoder over {part.ground_size}"

@@ -339,9 +339,10 @@ class IidTypes:
     distinct letters, `groups[d-1]` of them, so the types with d letters
     form one T_d x d block of the entry arrays (`entries` finds a type's
     pairs); no T x k array is ever built.  `multiplicity[t]` is the exact
-    number of tuples of type t, n!/prod(counts!): int64 while n * k^n stays
-    below 2^62 (first_counts multiplies a count of tuples by a letter
-    count), Python ints (an object array) past it.
+    number of tuples of type t, n!/prod(counts!), computed once per
+    composition of n (it does not depend on which letters carry the counts):
+    int64 while n * k^n stays below 2^62 (first_counts multiplies a count of
+    tuples by a letter count), Python ints (an object array) past it.
     """
 
     __slots__ = ("k", "n", "letters", "counts", "groups", "multiplicity")
@@ -356,21 +357,13 @@ class IidTypes:
             chosen = _combinations(k, d).astype(np.min_scalar_type(k - 1))
             # n split into d positive parts at d-1 cuts among 1..n-1
             cuts = _combinations(n - 1, d - 1) + 1
-            edges = np.column_stack((np.zeros(len(cuts), np.intp), cuts,
-                                     np.full(len(cuts), n, np.intp)))
-            parts = np.diff(edges, axis=1).astype(np.min_scalar_type(n))
+            parts = np.diff(cuts, axis=1, prepend=0, append=n).astype(np.min_scalar_type(n))
             letters.append(np.repeat(chosen, len(parts), axis=0).ravel())
-            block = np.tile(parts, (len(chosen), 1))
-            counts.append(block.ravel())
-            mult = np.ones(len(block), dtype=np.int64 if small else object)
-            filled = block[:, 0].astype(mult.dtype)
-            for j in range(1, d):  # n!/prod(c!) = prod_j C(c_1+...+c_j, c_j)
-                filled += block[:, j]
-                mult *= _binomials(filled, block[:, j])
-            mults.append(mult)
-        self.letters = np.concatenate(letters)
-        self.counts = np.concatenate(counts)
-        self.multiplicity = np.concatenate(mults)
+            counts.append(np.tile(parts, (len(chosen), 1)).ravel())
+            # n!/prod(c!) = prod_j C(c_1+...+c_j, c_j), the same for every letter set
+            mult = [math.prod(map(math.comb, itertools.accumulate(c), c)) for c in parts.tolist()]
+            mults.append(np.tile(np.array(mult, dtype=np.int64 if small else object), len(chosen)))
+        self.letters, self.counts, self.multiplicity = map(np.concatenate, (letters, counts, mults))
         self.groups = tuple(m.size for m in mults)
         for arr in (self.letters, self.counts, self.multiplicity):
             arr.flags.writeable = False
@@ -464,16 +457,6 @@ def _combinations(m: int, d: int) -> np.ndarray:
         nxt = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan) + low[parent]
         rows = np.column_stack((rows[parent], nxt))
     return rows
-
-
-def _binomials(top: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """C(top, below) elementwise, in the dtype of top: int64 (from a table,
-    top <= 61 then) or Python ints."""
-    if top.dtype != object:
-        table = np.array([[math.comb(a, b) for b in range(int(top.max()) + 1)]
-                          for a in range(int(top.max()) + 1)], dtype=np.int64)
-        return table[top.astype(np.intp), below]
-    return np.array(list(map(math.comb, top.tolist(), below.tolist())), dtype=object)
 
 
 class TypeLaw(Pmf):

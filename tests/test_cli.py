@@ -277,26 +277,12 @@ class TestSweep:
         assert code == 1
         assert "--cap must be a positive integer" in err
 
-    @pytest.mark.parametrize("cap", ["-5", "0"])
-    def test_nonpositive_cap_env_usage_error(self, capsys, files, monkeypatch, cap):
-        monkeypatch.setenv("TASKCODES_CAP", cap)
-        code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),
-                                       "--rate", "0.9", "--rho", "1", "--n", "4..4"])
-        assert code == 1
-        assert "TASKCODES_CAP must be a positive integer" in err
-
     @pytest.mark.parametrize("rate", ["1e3", "256"])
     def test_rate_overflow_exit_2(self, capsys, files, rate):
         code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),
                                        "--rate", rate, "--rho", "1", "--n", "4..4"])
         assert code == 2
         assert "numeric overflow" in err
-
-    def test_cap_env_override(self, capsys, files, monkeypatch):
-        monkeypatch.setenv("TASKCODES_CAP", "1024")
-        code, _ = run(capsys, ["sweep", "--pmf", str(files["bern01"]),
-                               "--rate", "0.9", "--rho", "1", "--n", "16..16"])
-        assert code == 3
 
 
 class TestMismatch:

@@ -7,6 +7,7 @@ and the Renyi entropy and Sundaresan's penalty sum the tuples with fsum
 """
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taskcodes import (AlphabetMismatchError, MomentReport, Pmf, block_experiment,
+from taskcodes import (AlphabetMismatchError, MomentReport, Partition, Pmf, block_experiment,
                        brute_force_optimum, build_encoder, divergence_limits, iid_joint,
                        kl_divergence, moment, renyi_divergence)
 from taskcodes.cli import main
@@ -121,6 +122,22 @@ def count_vector(types, t, k):
     (a,), (d,) = types.entries(np.array([t]))
     return tuple(np.bincount(np.repeat(types.letters[a:a + d], types.counts[a:a + d]),
                              minlength=k).tolist())
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 1), (2, 9), (3, 6), (4, 5), (5, 3), (6, 2)])
+def test_each_multiplicity_counts_the_tuples_of_its_type(k, n):
+    tally = Counter(tuple(x.count(a) for a in range(k))
+                    for x in itertools.product(range(k), repeat=n))
+    types = IidTypes(k, n)
+    assert {count_vector(types, t, k): int(types.multiplicity[t])
+            for t in range(len(types))} == tally
+
+
+@pytest.mark.parametrize("k,n", [(2, 55), (3, 28)])
+def test_multiplicities_are_int64_up_to_the_edge_and_python_ints_past_it(k, n):
+    assert IidTypes(k, n).multiplicity.dtype == np.int64
+    past = IidTypes(k, n + 1).multiplicity
+    assert past.dtype == object and type(past[0]) is int
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -287,6 +304,18 @@ def test_divergence_limits_refuse_a_type_law():
         divergence_limits(TypeLaw(p, types), TypeLaw(q, types))
     joint = divergence_limits(iid_joint(p, 2), iid_joint(q, 2))
     assert joint.order0 == pytest.approx(math.log2(9 / 4), abs=1e-12)
+
+
+def test_encoder_refuses_a_type_law():
+    # its blocks would hold the 4 types of a law whose size counts 8 tuples
+    with pytest.raises(TypeError, match="no encoder over its tuples; use iid_joint"):
+        build_encoder(TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3)), 1.0, 6)
+
+
+def test_moment_refuses_a_type_law():
+    # 4 type masses against a partition of the 8 tuples
+    with pytest.raises(TypeError, match="no moment over its tuples; use iid_joint"):
+        moment(TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3)), Partition([list(range(8))]), 1.0)
 
 
 def test_oracle_refuses_a_type_law():
