@@ -40,6 +40,7 @@ from .probability import (
     _check_alphabets,
     _check_cap,
     _check_rho,
+    _per_tuple,
     _rho_order,
     grouped_fsum,
     iid_joint,
@@ -123,8 +124,7 @@ def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
     """The encoder with m descriptions for p: the greedy partition of the
     law-derived budgets, whose N blocks never exceed M.  Requires
     M > log2|X| + 2."""
-    if p.multiplicity is not None:  # its blocks would hold types, while its size counts tuples
-        raise TypeError("a TypeLaw has no encoder over its tuples; use iid_joint")
+    _per_tuple(p, "encoder")  # its blocks would hold types, while its size counts tuples
     part = build_partition(lambda_from_law(p, rho, m))
     if part.num_blocks > m:
         raise ValueError(f"{part.num_blocks} preimages exceed M = {m}")
@@ -134,8 +134,7 @@ def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
 def moment(p: Pmf, part: Partition, rho: float) -> float:
     """The rho-th moment sum_x P(x) L(x)^rho of the encoder `part` under p."""
     _check_rho(rho)
-    if p.multiplicity is not None:  # its masses are per type, the partition's labels per tuple
-        raise TypeError("a TypeLaw has no moment over its tuples; use iid_joint")
+    _per_tuple(p, "moment")  # its masses are per type, the partition's labels per tuple
     if p.size != part.ground_size:
         raise AlphabetMismatchError(
             f"pmf over {p.size} symbols vs encoder over {part.ground_size}"
@@ -204,17 +203,16 @@ def _power(base: int, exponent: float) -> float:
 
 
 def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
-    """Exact minimum of the rho-th moment over all partitions into at most m
-    nonempty blocks, by enumerating restricted growth strings over supp(p).
-
-    Zero-mass elements are parked in one extra overflow block when m leaves
-    room for it (they only hurt the moment when mixed with positive mass).
-    Ties go to the lexicographically smallest growth string.  Guarded to
-    |X| <= 10.
+    """The oracle: the exact minimum of the rho-th moment over all partitions
+    of X into at most m nonempty blocks, zero-mass symbols included, by
+    enumerating restricted growth strings over X (guarded to |X| <= 10).  A
+    block of zero masses only adds 0.  Ties go to the lexicographically
+    smallest growth string: a string replaces the best so far only when its
+    value is below best - 1e-15.
 
     A block's term w[mask] = fsum(masses in mask) * |mask|^rho comes from a
-    table over the subsets of supp(p), and a string's value is the fsum of
-    its terms.  The strings are built as arrays in chunks that share all but
+    table over the subsets of X, and a string's value is the fsum of its
+    terms.  The strings are built as arrays in chunks that share all but
     their last five symbols.  The scan keeps the running rule "value <
     best - 1e-15" string by string: a float sum of the terms, shrunk by far
     more than its rounding error, skips the strings that cannot pass, and
@@ -224,20 +222,16 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
     _check_rho(rho)
     if m < 1:
         raise ValueError("M must be a positive integer")
+    _per_tuple(p, "optimum")
     if p.size > 10:
         raise AlphabetTooLargeError(f"|X| = {p.size} > 10")
-    supp = [int(x) for x in p.support]
-    zeros = [x for x in range(p.size) if x not in set(supp)]
-    if zeros and m == 1:
-        part = Partition([list(range(p.size))])
-        return math.fsum(p.masses[supp] * _power(p.size, rho)), part
-
-    s = len(supp)
-    limit = min(m - 1 if zeros else m, s)
-    masses = p.masses[supp].tolist()
+    s = p.size
+    limit = min(m, s)
+    masses = p.masses.tolist()
     powers = [_power(c, rho) for c in range(s + 1)]
-    terms = [math.fsum(masses[i] for i in range(s) if mask >> i & 1)
-             * powers[mask.bit_count()] for mask in range(1 << s)]
+    weights = [math.fsum(masses[i] for i in range(s) if mask >> i & 1) for mask in range(1 << s)]
+    # a block of zero masses adds 0, not 0 * inf = nan
+    terms = [w * powers[mask.bit_count()] if w else 0.0 for mask, w in enumerate(weights)]
     table = np.array(terms)
     # the first string puts every symbol in block 0
     best_masks = [(1 << s) - 1] + [0] * (limit - 1)
@@ -255,10 +249,7 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
                 val = math.fsum([terms[mask] for mask in row])
                 if val < best - 1e-15:
                     best, best_masks = val, row
-    blocks = [[supp[i] for i in range(s) if mask >> i & 1]
-              for mask in best_masks if mask]
-    if zeros:
-        blocks.append(zeros)
+    blocks = [[i for i in range(s) if mask >> i & 1] for mask in best_masks if mask]
     return best, Partition(blocks)
 
 

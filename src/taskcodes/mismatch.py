@@ -44,6 +44,11 @@ def _log2_common_sum(p, q, a: float, b: float) -> float:
                       None if counts is None else counts[both])
 
 
+def _nonnegative(value: float) -> float:
+    """A divergence, read as 0 when rounding left it in (-1e-12, 0)."""
+    return 0.0 if -1e-12 < value < 0.0 else value
+
+
 def sundaresan_divergence(p, q, alpha: float) -> float:
     """Delta_alpha(p||q) in bits.
 
@@ -66,10 +71,7 @@ def _sundaresan(p, q, alpha: float, h: float) -> float:
     if math.isinf(log_c):
         # only reachable with alpha > 1 and disjoint supports
         return math.inf
-    value = log_a - h + alpha / (1.0 - alpha) * log_c
-    if -1e-12 < value < 0.0:
-        value = 0.0
-    return value
+    return _nonnegative(log_a - h + alpha / (1.0 - alpha) * log_c)
 
 
 def renyi_divergence(p, q, alpha: float) -> float:
@@ -83,7 +85,7 @@ def renyi_divergence(p, q, alpha: float) -> float:
     _check_alphabets(p, q)
     if alpha > 1.0 and _escapes(p, q):
         return math.inf
-    return _log2_common_sum(p, q, alpha, 1.0 - alpha) / (alpha - 1.0)
+    return _nonnegative(_log2_common_sum(p, q, alpha, 1.0 - alpha) / (alpha - 1.0))
 
 
 class DivergenceLimits(NamedTuple):

@@ -178,6 +178,12 @@ def _escapes(p, q) -> bool:
     return bool(np.any((p.masses > 0.0) & (q.masses == 0.0)))
 
 
+def _per_tuple(p, what: str) -> None:
+    """Refuse a TypeLaw where `what` needs one symbol per tuple."""
+    if p.multiplicity is not None:
+        raise TypeError(f"a TypeLaw has no {what} over its tuples; use iid_joint")
+
+
 def _with_logs(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """masses and their log2, both read-only."""
     with np.errstate(divide="ignore"):
@@ -483,7 +489,7 @@ class TypeLaw(Pmf):
 
     @property
     def support(self):  # its indices would be types, while `size` counts tuples
-        raise TypeError("a TypeLaw has no support over its tuples; use iid_joint")
+        _per_tuple(self, "support")
 
 
 def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:

@@ -208,6 +208,13 @@ class TestMomentOracle:
                                  "--M", "4", "--rho", "1e300"])
         assert (code, out) == (0, "1\n0\n1\n2\n3\n")
 
+    def test_oracle_mixes_a_zero_mass_into_a_block(self, capsys, files):
+        # a zero-mass symbol costs nothing next to a positive one
+        z = files["tmp"] / "z.pmf"
+        z.write_text("0\n0.5\n0.5\n")
+        code, out = run(capsys, ["oracle", "--pmf", str(z), "--M", "2", "--rho", "1"])
+        assert (code, out) == (0, "1.5\n0 1\n2\n")
+
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_oracle_nonpositive_m_usage_error(self, capsys, files, m):
         code, err = run_error(capsys, ["oracle", "--pmf", str(files["uniform4"]),
@@ -299,6 +306,12 @@ class TestMismatch:
                                  "--q", str(files["fair"]), "--alpha", "0.25,0.5"])
         assert code == 0
         assert out == "alpha,delta,renyi_div,kl\n0.25,0,0,0\n0.5,0,0,0\n"
+
+    def test_equal_laws_no_negative_renyi_divergence(self, capsys, files):
+        # rounding leaves the Renyi sum of bern vs bern at -2.2e-16
+        code, out = run(capsys, ["mismatch", "--pmf", str(files["bern01"]),
+                                 "--q", str(files["bern01"]), "--alpha", "0.5"])
+        assert (code, out) == (0, "alpha,delta,renyi_div,kl\n0.5,0,0,0\n")
 
     def test_fair_vs_skew_value(self, capsys, files):
         code, out = run(capsys, ["mismatch", "--pmf", str(files["fair"]),

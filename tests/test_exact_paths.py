@@ -1,9 +1,11 @@
-"""The array-backed Markov DP and brute-force oracle against the loops they
-replaced.
+"""The array-backed Markov DP and brute-force oracle against plain loops.
 
-Each reference below is the per-element loop the package used before; the
+Each reference below is a per-element loop over the same definition; the
 array code must return the same floats, bit for bit, and the same partition.
+The oracle is also checked against an exhaustive set-partition search that
+uses no growth strings.
 """
+import itertools
 import math
 import random
 import warnings
@@ -49,31 +51,51 @@ def _growth_strings(n: int, max_blocks: int):
 
 
 def brute_force_reference(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
-    supp = [int(x) for x in p.support]
-    zeros = [x for x in range(p.size) if x not in set(supp)]
-    if zeros and m == 1:
-        part = Partition([list(range(p.size))])
-        return math.fsum(p.masses * float(p.size) ** rho), part
-
-    limit = m - 1 if zeros else m
     masses = p.masses
     best_val = math.inf
     best_blocks = None
-    for rgs in _growth_strings(len(supp), limit):
-        nblocks = max(rgs) + 1
-        groups = [[] for _ in range(nblocks)]
-        for elem, b in zip(supp, rgs):
+    for rgs in _growth_strings(p.size, m):
+        groups = [[] for _ in range(max(rgs) + 1)]
+        for elem, b in enumerate(rgs):
             groups[b].append(elem)
-        val = math.fsum(
-            math.fsum(masses[x] for x in g) * float(len(g)) ** rho for g in groups
-        )
+        weights = [math.fsum(masses[x] for x in g) for g in groups]
+        # a block of zero masses adds 0
+        val = math.fsum(w * float(len(g)) ** rho if w else 0.0 for w, g in zip(weights, groups))
         if val < best_val - 1e-15:
             best_val = val
             best_blocks = [list(g) for g in groups]
     assert best_blocks is not None
-    if zeros:
-        best_blocks.append(zeros)
     return best_val, Partition(best_blocks)
+
+
+def set_partitions(elements: list[int], m: int):
+    """Every partition of `elements` into at most m blocks: the block of the
+    first element is that element and any subset of the others."""
+    if not elements:
+        yield []
+        return
+    if m == 0:
+        return
+    first, rest = elements[0], elements[1:]
+    for r in range(len(rest) + 1):
+        for others in itertools.combinations(rest, r):
+            remaining = [x for x in rest if x not in others]
+            for blocks in set_partitions(remaining, m - 1):
+                yield [[first, *others], *blocks]
+
+
+def exhaustive_minimum(p: Pmf, m: int, rho: float) -> float:
+    """min over the partitions into at most m blocks of sum_x P(x) L(x)^rho,
+    where a zero mass adds 0 and L^rho past the float range is inf."""
+    def power(size: int) -> float:
+        try:
+            return float(size) ** rho
+        except OverflowError:
+            return math.inf
+
+    return min(math.fsum(p.masses[x] * power(len(b)) for b in blocks for x in b
+                         if p.masses[x] > 0.0)
+               for blocks in set_partitions(list(range(p.size)), m))
 
 
 def normalized(weights) -> list[float]:
@@ -177,6 +199,15 @@ def pmfs(draw, max_size: int = 7) -> Pmf:
 RHOS = st.one_of(st.sampled_from([0.5, 1.0, 1.7, 2.0]), st.floats(0.1, 4.0))
 
 
+@st.composite
+def zero_mass_laws(draw) -> tuple[Pmf, int]:
+    """A law over at most 7 symbols with at least one zero mass, and m <= |X| + 1."""
+    masses = draw(pmfs(max_size=6)).masses.tolist()
+    for _ in range(draw(st.integers(1, 7 - len(masses)))):
+        masses.insert(draw(st.integers(0, len(masses))), 0.0)
+    return Pmf(masses), draw(st.integers(1, len(masses) + 1))
+
+
 def assert_same_optimum(p: Pmf, m: int, rho: float) -> None:
     val, part = brute_force_optimum(p, m, rho)
     want_val, want_part = brute_force_reference(p, m, rho)
@@ -189,12 +220,24 @@ class TestBruteForceOptimum:
     @given(pmfs(), st.integers(1, 9), RHOS)
     @example(Pmf([1.0]), 1, 1.0)
     @example(Pmf([0.25] * 4), 2, 1.0)
-    @example(Pmf([0.5, 0.0, 0.5]), 1, 2.0)     # zeros with no room for their own block
+    @example(Pmf([0.5, 0.0, 0.5]), 1, 2.0)     # a zero mass in the one block
     @example(Pmf([0.5, 0.0, 0.5]), 2, 1.7)
     @example(Pmf([0.2] * 5), 7, 0.5)           # m >= |supp|
     @example(Pmf([0.4, 0.1, 0.1, 0.4, 0.0, 0.0]), 3, 1.0)
     def test_matches_growth_string_loop(self, p, m, rho):
         assert_same_optimum(p, m, rho)
+
+    @given(zero_mass_laws(), st.one_of(RHOS, st.just(1e300)))
+    @example((Pmf([0.5, 0.0, 0.5]), 2), 1.7)         # 0.5 * 2^1.7 + 0.5, not 2^1.7
+    @example((Pmf([0.0, 0.5, 0.5]), 2), 1.0)         # 1.5, not 2
+    @example((Pmf([0.5, 0.0, 0.0, 0.5]), 3), 1e300)  # 1, not inf: the zeros share a block
+    @example((Pmf([0.0, 1.0]), 1), 1e300)
+    def test_is_the_set_partition_minimum(self, law, rho):
+        p, m = law
+        val, part = brute_force_optimum(p, m, rho)
+        assert math.isclose(val, exhaustive_minimum(p, m, rho), rel_tol=1e-12)
+        assert part.num_blocks <= m
+        assert math.isclose(moment(p, part, rho), val, rel_tol=1e-12)
 
     @pytest.mark.parametrize("masses,m,rho", [
         ([0.1] * 10, 5, 1.0),
@@ -207,7 +250,7 @@ class TestBruteForceOptimum:
     @pytest.mark.parametrize("masses,m", [
         ([0.25] * 4, 4),
         ([0.25] * 4, 2),
-        ([1.0, 0.0], 1),                # the zero-mass branch at m = 1
+        ([1.0, 0.0], 1),                # a zero mass in a block of power inf
         ([0.5, 0.3, 0.2, 0.0], 2),
         ([0.5, 0.3, 0.2, 0.0], 4),
     ])

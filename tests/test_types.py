@@ -320,7 +320,7 @@ def test_moment_refuses_a_type_law():
 
 def test_oracle_refuses_a_type_law():
     # 4 types stand for 8 tuples; types 4..7 would pass for zero-mass elements
-    with pytest.raises(TypeError, match="no support over its tuples"):
+    with pytest.raises(TypeError, match="no optimum over its tuples; use iid_joint"):
         brute_force_optimum(TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3)), 2, 1.0)
 
 
