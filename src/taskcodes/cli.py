@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -25,7 +26,6 @@ from .errors import (
 from .partitions import LambdaBudget, Partition, build_partition, kraft_sum
 from .probability import (
     DEFAULT_TUPLE_CAP,
-    _data_lines,
     _rho_order,
     kl_divergence,
     markov_renyi_sums,
@@ -69,19 +69,6 @@ def _load(path: str, parse):
         raise UsageError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # a parse error, or text that is not UTF-8
         raise UsageError(f"{path}: {exc}") from None
-
-
-def _read_budgets(text: str) -> LambdaBudget:
-    values: list[float] = []
-    for lineno, line in _data_lines(text):
-        if line.lower() in ("inf", "infinity"):
-            values.append(math.inf)
-            continue
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad budget {line!r}") from None
-    return LambdaBudget(values)
 
 
 # argparse types.  A UsageError passes through argparse unchanged (it only
@@ -166,7 +153,7 @@ def cmd_entropy(args) -> list[str]:
 
 def cmd_construct(args) -> list[str]:
     if args.budgets is not None:
-        part = build_partition(_load(args.budgets, _read_budgets))
+        part = build_partition(_load(args.budgets, LambdaBudget.from_text))
         lines = part.to_text().rstrip("\n").split("\n")
         lines.append(f"# blocks={part.num_blocks} kraft_sum={kraft_sum(part)}")
         return lines
@@ -229,6 +216,7 @@ def cmd_mismatch(args) -> list[str]:
     return lines
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="taskcodes",

@@ -40,10 +40,12 @@ from .probability import (
     _check_alphabets,
     _check_cap,
     _check_rho,
+    _exact,
     _per_tuple,
     _rho_order,
     grouped_fsum,
     iid_joint,
+    log2sumexp,
     markov_joint,
     renyi_rho,
 )
@@ -227,9 +229,13 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
         raise AlphabetTooLargeError(f"|X| = {p.size} > 10")
     s = p.size
     limit = min(m, s)
-    masses = p.masses.tolist()
     powers = [_power(c, rho) for c in range(s + 1)]
-    weights = [math.fsum(masses[i] for i in range(s) if mask >> i & 1) for mask in range(1 << s)]
+    # fsum of the masses in each subset, from its exact sum in units of 1/d
+    masses, d = _exact(p.masses.tolist())
+    units = [0]
+    for u in masses:
+        units += [w + u for w in units]
+    weights = [w / d for w in units]
     # a block of zero masses adds 0, not 0 * inf = nan
     terms = [w * powers[mask.bit_count()] if w else 0.0 for mask, w in enumerate(weights)]
     table = np.array(terms)
@@ -240,8 +246,11 @@ def brute_force_optimum(p: Pmf, m: int, rho: float) -> tuple[float, Partition]:
     start[0, 0] = 1
     head = max(1, s - 5)
     prefixes, used = _grow(start, np.ones(1, np.intp), 1, head, limit)
-    for k in range(used.size):
-        chunk, _ = _grow(prefixes[k:k + 1], used[k:k + 1], head, s, limit)
+    # the last symbols' blocks after a prefix depend only on its block count
+    suffixes = {u: _grow(np.zeros_like(start), np.array([u]), head, s, limit)[0]
+                for u in set(used.tolist())}
+    for prefix, u in zip(prefixes, used.tolist()):
+        chunk = suffixes[u] | prefix
         floor = table[chunk].sum(axis=1) * (1.0 - 1e-13)
         for j in np.flatnonzero(floor < best - 1e-15).tolist():
             if floor[j] < best - 1e-15:
@@ -369,6 +378,21 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     return used, grouped_fsum(np.concatenate(terms), np.concatenate(counts))
 
 
+def _check_underflow(p: Pmf, law: TypeLaw, rho: float) -> None:
+    """Refuse the law of n letters of p when the tuples whose mass underflows
+    to 0 in it could change the moment.  Each sits in a block of at most k^n
+    tuples, so together they add at most sum mult * 2^(log-mass) * (k^n)^rho
+    to a moment of at least 1; the law is refused when that is 2^-53 or more.
+    """
+    lost = law.masses == 0.0
+    if lost.any():  # log2sumexp skips the true zeros, of log-mass -inf
+        bound = log2sumexp(law.types.log_masses(p)[lost], law.multiplicity[lost])
+        bound += rho * law.types.n * math.log2(p.size)
+        if bound >= -53.0:
+            raise OverflowError(f"tuple masses below the float range at n = "
+                                f"{law.types.n} could add 2^{bound:.6g} to the moment")
+
+
 def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
                      design: Pmf | None = None,
                      cap: int = DEFAULT_TUPLE_CAP) -> MomentReport:
@@ -384,8 +408,10 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     An i.i.d. row is computed on the C(n+k-1, k-1) type classes of the
     n-tuples (TypeLaw, _type_encoder), never on the k^n-entry law; it is
     the row the enumerated law gives, bit for bit, when the Renyi entropy
-    and the penalty sum the tuples with fsum.  A Markov row enumerates the
-    law (markov_joint), and the design's law with it (iid_joint).
+    and the penalty sum the tuples with fsum; it raises OverflowError when
+    tuple masses that underflow to 0 could change its moment.  A Markov row
+    enumerates the law (markov_joint), and the design's law with it
+    (iid_joint).
 
     The inputs are checked in one order: rho, the alphabets, the tuple cap
     on base^n, then M, and only then are the n-tuple laws built.  The cap
@@ -408,6 +434,7 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
         used, value = part.num_blocks, moment(law, part, rho)
     else:
         law = TypeLaw(source, IidTypes(letters.size, n))
+        _check_underflow(source, law, rho)
         design_law = None if design is None else TypeLaw(design, law.types)
         used, value = _type_encoder(law, design_law or law, rho, m)
     return _row(law, rho, m, design_law, n, float(rate_fr), used, value)

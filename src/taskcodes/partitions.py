@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GroundSetMismatchError
-from .probability import _data_lines
+from .probability import _data_lines, _parse
 
 Budget = int | float  # positive int, or math.inf
 
@@ -119,13 +119,8 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        blocks = []
-        for lineno, line in _data_lines(text):
-            try:
-                blocks.append([int(v) for v in line.split()])
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed block") from None
-        return cls(blocks)
+        return cls(_parse(_data_lines(text), lambda line: [int(v) for v in line.split()],
+                          "malformed block"))
 
 
 def _clean_budget(b) -> Budget:
@@ -183,6 +178,13 @@ class LambdaBudget:
         counts = np.bincount(self.codes, minlength=len(self.values)).tolist()
         return sum((Fraction(c, b) for b, c in zip(self.values, counts)
                     if b != math.inf), Fraction(0))
+
+    @classmethod
+    def from_text(cls, text: str) -> "LambdaBudget":
+        """One budget per line: an integer, or inf/infinity in any case."""
+        return cls(_parse(_data_lines(text), lambda line: math.inf
+                          if line.lower() in ("inf", "infinity") else int(line),
+                          "bad budget {!r}"))
 
     def __repr__(self) -> str:
         return f"LambdaBudget({list(self.budgets)!r})"

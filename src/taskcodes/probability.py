@@ -43,6 +43,15 @@ _SUM_WINDOW = 1e-9
 _SPLIT = float((1 << 26) + 1)
 
 
+def _exact(values: list[float]) -> tuple[list[int], int]:
+    """Ints u and a power of two d with values[i] == u[i] / d exactly, for
+    finite floats; d is the largest denominator among them, so an int sum
+    of the u divided by d (true division) is the correctly rounded sum."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max((den for _, den in ratios), default=1)
+    return [num * (d // den) for num, den in ratios], d
+
+
 def as_floats(values: np.ndarray):
     """The entries of a 1-D float array as Python floats, converted a slice
     at a time, so no list of them all is ever held."""
@@ -92,12 +101,8 @@ def grouped_fsum(values: np.ndarray, counts=None) -> float:
         total = math.ldexp(math.fsum(itertools.chain.from_iterable(products())), -shift)
         if shift == 0 or abs(total) >= 2.0 ** -1022:
             return total
-    # exact: every finite float is an integer multiple of 2^-1074
-    total = 0
-    for v, c in zip(values.tolist(), counts.tolist()):
-        num, den = v.as_integer_ratio()
-        total += c * num << (1075 - den.bit_length())
-    return total / (1 << 1074)
+    units, d = _exact(values.tolist())
+    return sum(c * u for u, c in zip(units, counts.tolist())) / d
 
 
 def log2sumexp(log_values: np.ndarray, counts=None) -> float:
@@ -556,18 +561,24 @@ def _data_lines(text: str):
             yield lineno, line
 
 
-def read_pmf_text(text: str) -> Pmf:
-    """Parse a PMF from plain text: one probability per line.
-
-    Blank lines and lines starting with '#' are skipped.  Raises ValueError
-    naming the offending line number on malformed input.
-    """
-    masses = []
-    for lineno, line in _data_lines(text):
+def _parse(rows, parse, problem: str | None = None) -> list:
+    """parse(line) for each (line number, line) of rows.  Its ValueError is
+    raised again as 'line N: ' and problem, with the line's repr at {!r}, or
+    parse's own message when problem is None."""
+    out = []
+    for lineno, line in rows:
         try:
-            masses.append(float(line))
-        except ValueError:
-            raise ValueError(f"line {lineno}: not a probability: {line!r}") from None
+            out.append(parse(line))
+        except ValueError as exc:
+            why = exc if problem is None else problem.format(line)
+            raise ValueError(f"line {lineno}: {why}") from None
+    return out
+
+
+def read_pmf_text(text: str) -> Pmf:
+    """Parse a PMF from plain text: one probability per line, blank lines
+    and '#' comments skipped; a malformed line raises ValueError naming it."""
+    masses = _parse(_data_lines(text), float, "not a probability: {!r}")
     if not masses:
         raise ValueError("no probabilities found")
     return Pmf(masses)
@@ -579,28 +590,20 @@ def read_markov_text(text: str) -> MarkovSource:
     rows = list(_data_lines(text))
     if not rows:
         raise ValueError("empty Markov source file")
-    lineno, line = rows[0]
-    try:
-        k = int(line)
-    except ValueError:
-        raise ValueError(f"line {lineno}: state count must be an integer") from None
+    [k] = _parse(rows[:1], int, "state count must be an integer")
     if k < 1:
-        raise ValueError(f"line {lineno}: state count must be positive")
+        raise ValueError(f"line {rows[0][0]}: state count must be positive")
     if len(rows) != k + 2:
         raise ValueError(f"expected {k + 2} data lines for {k} states, got {len(rows)}")
 
-    def parse_row(idx: int, expect: int) -> list[float]:
-        lineno, line = rows[idx]
+    def parse_row(line: str) -> list[float]:
         parts = line.split()
-        if len(parts) != expect:
-            raise ValueError(
-                f"line {lineno}: expected {expect} entries, got {len(parts)}"
-            )
+        if len(parts) != k:
+            raise ValueError(f"expected {k} entries, got {len(parts)}")
         try:
             return [float(v) for v in parts]
         except ValueError:
-            raise ValueError(f"line {lineno}: malformed number") from None
+            raise ValueError("malformed number") from None
 
-    initial = Pmf(parse_row(1, k))
-    transitions = [parse_row(2 + i, k) for i in range(k)]
-    return MarkovSource(initial=initial, transitions=np.array(transitions))
+    # Pmf checks the initial row before the transition rows are read
+    return MarkovSource(Pmf(*_parse(rows[1:2], parse_row)), _parse(rows[2:], parse_row))

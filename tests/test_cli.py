@@ -1,6 +1,9 @@
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -520,6 +523,28 @@ class TestInputErrors:
         assert code == 2
         assert "floor(2^(nR)) = 0 at n = 1" in err
 
+    def test_underflowed_masses_exit_2(self, capsys, files):
+        code, err = run_error(capsys, fill(files, ["sweep", "--pmf", "bern01", "--rate", "0.9",
+                                                   "--rho", "1", "--n", "1000..1000",
+                                                   "--cap", str(10**400)]))
+        assert code == 2
+        assert err == ("error: numeric overflow: tuple masses below the float range at "
+                       "n = 1000 could add 2^788.948 to the moment\n")
+
+    def test_row_with_a_few_underflowed_masses_keeps_its_bytes(self, capsys, files):
+        # tuples whose mass underflows to 0 exist from n = 324 on
+        code, out = run(capsys, fill(files, ["sweep", "--pmf", "bern01", "--rate", "0.9",
+                                             "--rho", "1", "--n", "521..521",
+                                             "--cap", str(10**400)]))
+        assert (code, out) == (0, "n,R,rho,M,N,moment,lower,upper,m_tilde,delta\n"
+                               "521,0.9,1,"
+                               "142221405699561621065301165382090441798466964736888693146514905378750339"
+                               "4970559135115427656028070631901554742948611676526302352341925555876352"
+                               ","
+                               "204642882505413729881319218986151371347666444753005993391263814151116541"
+                               "7893925254624524631460578252309590973076475813558490108610538960012"
+                               ",1,1.56151441196e-35,1,3.55553514249e+140,0.00383877159309\n")
+
     def test_markov_entropy_needs_n(self, capsys, files):
         code, err = run_error(capsys, fill(files, ["entropy", "--markov", "markov",
                                                    "--alpha", "0.5"]))
@@ -626,6 +651,26 @@ class TestRowErrorOrder:
                                                    "--n", "23..23"]))
         assert code == 1
         assert "alphabet sizes differ" in err
+
+
+def test_one_process_gives_the_bytes_of_separate_calls(capsys, files, monkeypatch):
+    """main builds its parser once per process: a --help and a usage error
+    between two calls leave the second call's bytes unchanged."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    calls = [["construct", "--pmf", "uniform4", "--M", "5", "--rho", "1"],
+             ["construct", "--help"],
+             ["construct", "--pmf", "uniform4", "--budgets", "budgets"],
+             ["construct", "--pmf", "uniform4", "--M", "5", "--rho", "1"]]
+    script = "import sys; from taskcodes.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for call in calls:
+        argv = fill(files, call)
+        code = main(argv)
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout,
+                                                      alone.stderr)
 
 
 @pytest.mark.parametrize("command", README_EXAMPLES)

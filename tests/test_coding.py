@@ -357,6 +357,20 @@ class TestBlockExperiment:
         assert rep.csv_row() == ("8,0.9,1,147,64,3.5524247,0.365218307483,"
                                  "19.4814631342,34.25,0.26274598963")
 
+    @pytest.mark.parametrize("n,bound", [(523, "-52.6"), (1000, "788.9")])
+    def test_refuses_masses_lost_below_the_float_range(self, n, bound):
+        # 0.1^j 0.9^(n-j) underflows to 0 for j near n; those tuples sit,
+        # weightless, in the absorbing block, while (2^n)^rho times their
+        # true mass could change the moment by 2^-53 or more
+        with pytest.raises(OverflowError, match=f"at n = {n} could add 2\\^{bound}"):
+            block_experiment(Pmf([0.9, 0.1]), n, "0.9", 1.0, cap=10**10000)
+
+    def test_masses_lost_below_2_to_the_minus_53_are_kept(self):
+        # tuples underflow from n = 324 on, too few to show in the moment
+        rep = block_experiment(Pmf([0.9, 0.1]), 522, "0.9", 1.0, cap=10**10000)
+        assert rep.lower <= rep.moment <= rep.upper
+        assert coding.fmt(rep.moment) == "1"
+
     def test_m_is_refused_before_any_law_is_built(self, monkeypatch):
         # M needs only n and |X|: a rate too small for n = 22 is refused
         # without building the 2^22-entry law or its types

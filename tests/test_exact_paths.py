@@ -224,6 +224,9 @@ class TestBruteForceOptimum:
     @example(Pmf([0.5, 0.0, 0.5]), 2, 1.7)
     @example(Pmf([0.2] * 5), 7, 0.5)           # m >= |supp|
     @example(Pmf([0.4, 0.1, 0.1, 0.4, 0.0, 0.0]), 3, 1.0)
+    @example(Pmf([0.5, 1e-300, 0.5]), 2, 1.0)       # a mass far below the others' ulp
+    @example(Pmf([0.5, 5e-324, 0.5]), 3, 2.0)       # a subnormal mass
+    @example(Pmf([0.1, 0.2, 0.3, 0.4]), 2, 0.1)     # block 0 1 2: 0.1 + 0.2 + 0.3 != 0.6, its fsum
     def test_matches_growth_string_loop(self, p, m, rho):
         assert_same_optimum(p, m, rho)
 

@@ -46,6 +46,29 @@ class TestPartition:
         assert part.to_text() == "0\n1\n2 3\n"
 
 
+class TestLambdaBudgetText:
+    def test_skips_blank_and_comment_lines(self):
+        budget = LambdaBudget.from_text("# budgets\n\n1\n  2 \r\n\t# more\n4\n4\n")
+        assert budget.budgets == (1, 2, 4, 4)
+
+    def test_inf_in_any_case(self):
+        budget = LambdaBudget.from_text("inf\nInfinity\nINF\n3\n")
+        assert budget.budgets == (math.inf, math.inf, math.inf, 3)
+        assert budget.mu == Fraction(1, 3)
+
+    @pytest.mark.parametrize("text,message", [
+        ("1\n2.5\n", "line 2: bad budget '2.5'"),
+        ("nan\n", "line 1: bad budget 'nan'"),
+        ("inf x\n", "line 1: bad budget 'inf x'"),
+        ("1\n0\n", "budget must be a positive integer or inf, got 0"),
+        ("# none\n", "need at least one budget"),
+    ])
+    def test_bad_budget(self, text, message):
+        with pytest.raises(ValueError) as info:
+            LambdaBudget.from_text(text)
+        assert str(info.value) == message
+
+
 class TestKraftSum:
     def test_two_blocks(self):
         assert kraft_sum(Partition([[0, 1], [2]])) == 2

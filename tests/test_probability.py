@@ -7,7 +7,9 @@ from taskcodes import (
     AlphabetMismatchError,
     CapExceededError,
     InvalidOrderError,
+    LambdaBudget,
     MarkovSource,
+    Partition,
     Pmf,
     iid_joint,
     kl_divergence,
@@ -254,6 +256,20 @@ class TestParsing:
         src = read_markov_text("2\n0.5 0.5\n0.9 0.1\n0.1 0.9\n")
         assert src.initial.size == 2
         assert src.transitions[0][0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("read,text,message", [
+        (read_pmf_text, "# c\n\n0.5\nx", "line 4: not a probability: 'x'"),
+        (read_markov_text, "# c\n\nx\n", "line 3: state count must be an integer"),
+        (read_markov_text, "# c\n\n0\n", "line 3: state count must be positive"),
+        (read_markov_text, "# c\n1\n\n1\n# row\nx\n", "line 6: malformed number"),
+        (read_markov_text, "1\n\n1 1\n1\n", "line 3: expected 1 entries, got 2"),
+        (Partition.from_text, "# c\n\n0 1\nx", "line 4: malformed block"),
+        (LambdaBudget.from_text, "# c\n\n1\nx", "line 4: bad budget 'x'"),
+    ])
+    def test_line_numbers_count_blank_and_comment_lines(self, read, text, message):
+        with pytest.raises(ValueError) as info:
+            read(text)
+        assert str(info.value) == message
 
     def test_markov_shape_errors(self):
         with pytest.raises(ValueError):
