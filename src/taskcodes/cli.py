@@ -198,7 +198,10 @@ def cmd_sweep(args) -> list[str]:
     if design is not None:
         lines[0] += ",q_id,delta_bits"
         bits = sundaresan_divergence(source, design, _rho_order(args.rho))
-        suffix = f",{os.path.basename(args.q)},{fmt(bits)}"
+        name = os.path.basename(args.q)
+        if any(c in name for c in ',"\r\n'):  # quoted as one RFC 4180 field
+            name = '"' + name.replace('"', '""') + '"'
+        suffix = f",{name},{fmt(bits)}"
     lines.extend(report.csv_row() + suffix for report in rows)
     return lines
 

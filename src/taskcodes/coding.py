@@ -352,30 +352,28 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     used, runs = greedy_pieces(budget.values, run_counts, law.size)
     if used > m:
         raise ValueError(f"{used} preimages exceed M = {m}")
-    terms, counts = [], []
-
-    def add(members, count, size):
-        masses = law.masses[members]
-        positive = masses > 0.0  # a zero mass adds 0, also next to an inf power
-        with np.errstate(over="ignore"):
-            term = np.power(np.broadcast_to(size, masses.shape)[positive], rho)
-        terms.append(term * masses[positive])
-        counts.append(count[positive])
-
-    # the types of every one-piece run in one gather, then each cut run
+    # every (type, piece): the types of the one-piece runs in one gather,
+    # then each cut run split by the rank walk
     one = np.array([len(cut) == 1 for cut in runs])
     whole = np.flatnonzero(one[budget.codes])
-    add(whole, types.multiplicity[whole],
-        np.array([cut[0][1] for cut in runs], float)[budget.codes[whole]])
+    members, counts = [whole], [types.multiplicity[whole]]
+    sizes = [np.array([cut[0][1] for cut in runs], float)[budget.codes[whole]]]
     for r in np.flatnonzero(~one).tolist():
         group = order[bounds[r]:bounds[r + 1]]
         before, start = 0, runs[r - 1][-1][0] if r else 0
         for end, s in runs[r]:
             upto = types.first_counts(group, end - start)
             some = upto > before
-            add(group[some], (upto - before)[some], float(s))
+            members.append(group[some])
+            counts.append((upto - before)[some])
+            sizes.append(np.full(members[-1].size, float(s)))
             before = upto
-    return used, grouped_fsum(np.concatenate(terms), np.concatenate(counts))
+    members, counts, sizes = map(np.concatenate, (members, counts, sizes))
+    masses = law.masses[members]
+    positive = masses > 0.0  # a zero mass adds 0, also next to an inf power
+    with np.errstate(over="ignore"):
+        terms = np.power(sizes[positive], rho) * masses[positive]
+    return used, grouped_fsum(terms, counts[positive])
 
 
 def _check_underflow(p: Pmf, law: TypeLaw, rho: float) -> None:

@@ -352,8 +352,8 @@ class IidTypes:
     pairs); no T x k array is ever built.  `multiplicity[t]` is the exact
     number of tuples of type t, n!/prod(counts!), computed once per
     composition of n (it does not depend on which letters carry the counts):
-    int64 while n * k^n stays below 2^62 (first_counts multiplies a count of
-    tuples by a letter count), Python ints (an object array) past it.
+    int64 while k^n, their sum and the largest int any caller forms, stays
+    below 2^63, Python ints (an object array) past it.
     """
 
     __slots__ = ("k", "n", "letters", "counts", "groups", "multiplicity")
@@ -362,7 +362,7 @@ class IidTypes:
         if k < 1 or n < 1:
             raise ValueError("need a nonempty alphabet and a positive block length")
         self.k, self.n = k, n
-        small = n * (k - 1).bit_length() + n.bit_length() < 62  # n * k^n < 2^62
+        small = n * (k - 1).bit_length() < 63  # k^n < 2^63
         letters, counts, mults = [], [], []
         for d in range(1, min(k, n) + 1):
             chosen = _combinations(k, d).astype(np.min_scalar_type(k - 1))
@@ -415,12 +415,12 @@ class IidTypes:
         """How many of the first s tuples, in index order, of the union of
         the classes of the types `members` fall in each of those classes.
 
-        The walk fixes the tuple's letters one position at a time.  With a
-        prefix fixed and `left` letters to go, a type whose remaining counts
-        are r has multinomial(r) completions, of which multinomial(r) *
-        r_a / left start with letter a.  At each position the letters are
-        taken in increasing order while their completions fit in s; the
-        first letter that does not fit becomes part of the prefix."""
+        The walk, in Python ints, fixes the tuple's letters one position at
+        a time.  With a prefix fixed and `left` letters to go, a type whose
+        remaining counts are r has ways = multinomial(r) completions, of
+        which ways * r_a / left start with letter a.  At each position the
+        letters are taken in increasing order while their completions fit
+        in s; the first that does not fit joins the prefix, with its types."""
         members = np.asarray(members, dtype=np.intp)
         completions = self.multiplicity[members].copy()
         if s >= completions.sum():
@@ -428,33 +428,30 @@ class IidTypes:
         if members.size == 1:  # the first s tuples of one class
             completions[0] = s
             return completions
+        ways = completions.tolist()
+        # left_of[a][i]: how many a's type i has still to place
+        left_of = [[0] * len(ways) for _ in range(self.k)]
         starts, widths = self.entries(members)
-        owner = np.repeat(np.arange(members.size), widths)
-        entry = np.arange(owner.size) + np.repeat(starts - np.cumsum(widths) + widths, widths)
-        by_letter = np.argsort(self.letters[entry], kind="stable")
-        owner, entry = owner[by_letter], entry[by_letter]
-        letter = self.letters[entry].astype(np.intp)
-        remaining = self.counts[entry].astype(completions.dtype)
-        taken = np.zeros_like(completions)
-        live = np.ones(owner.size, dtype=bool)
+        for i, (e, d) in enumerate(zip(starts.tolist(), widths.tolist())):
+            for a, count in zip(self.letters[e:e + d].tolist(), self.counts[e:e + d].tolist()):
+                left_of[a][i] = count
+        taken, live = [0] * len(ways), range(len(ways))
         for left in range(self.n, 0, -1):
             if s == 0:
                 break
-            idx = np.flatnonzero(live)  # in letter order
-            ways = completions[owner[idx]] * remaining[idx] // left
-            below = np.cumsum(ways)
-            pick = int(letter[idx[int(np.argmax(below > s))]])  # its completions pass s
-            first, stop = np.searchsorted(letter[idx], [pick, pick + 1]).tolist()
-            np.add.at(taken, owner[idx[:first]], ways[:first])
-            if first:
-                s -= int(below[first - 1])
-            same = idx[first:stop]
-            keep = np.zeros(members.size, dtype=bool)
-            keep[owner[same]] = True
-            completions[owner[same]] = ways[first:stop]
-            remaining[same] -= 1
-            live &= keep[owner] & (remaining > 0)
-        return taken
+            for row in left_of:  # the letters in increasing order
+                share = [ways[i] * row[i] // left for i in live]
+                fit = sum(share)
+                if fit > s:
+                    break
+                s -= fit
+                for i, w in zip(live, share):
+                    taken[i] += w
+            live = [i for i, w in zip(live, share) if w]  # the types holding it
+            for i, w in zip(live, filter(None, share)):
+                ways[i] = w
+                row[i] -= 1
+        return np.array(taken, dtype=completions.dtype)
 
 
 def _combinations(m: int, d: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import re
@@ -351,6 +353,24 @@ class TestMismatch:
                                  "--step", "4"])
         assert code == 0
         assert out == README_MISMATCHED_SWEEP
+
+    @pytest.mark.parametrize("name,field", [
+        ("my,law.pmf", '"my,law.pmf"'),
+        ('say "q".pmf', '"say ""q"".pmf"'),
+        ("two\nlines.pmf", '"two\nlines.pmf"'),
+        ("plain law.pmf", "plain law.pmf"),
+    ])
+    def test_design_name_is_one_csv_field(self, capsys, files, name, field):
+        (files["tmp"] / name).write_text("0.9\n0.1\n")
+        code, out = run(capsys, ["sweep", "--pmf", str(files["fair"]),
+                                 "--q", str(files["tmp"] / name), "--rate", "1.6",
+                                 "--rho", "1", "--n", "4..4"])
+        assert code == 0
+        assert out.endswith(f",1.5,0.190476190476,3.59322570434,19.5,0.528649445284,"
+                            f"{field},0.415037499279\n")
+        header, row = csv.reader(io.StringIO(out, newline=""))
+        assert len(row) == len(header) == 12
+        assert row[10] == name
 
     @pytest.mark.parametrize("q,rho,cap,expected", [
         ("uniform4", "0", None, 2),    # the rho check comes before the alphabets

@@ -133,7 +133,7 @@ def test_each_multiplicity_counts_the_tuples_of_its_type(k, n):
             for t in range(len(types))} == tally
 
 
-@pytest.mark.parametrize("k,n", [(2, 55), (3, 28)])
+@pytest.mark.parametrize("k,n", [(2, 62), (3, 31)])
 def test_multiplicities_are_int64_up_to_the_edge_and_python_ints_past_it(k, n):
     assert IidTypes(k, n).multiplicity.dtype == np.int64
     past = IidTypes(k, n + 1).multiplicity
@@ -142,20 +142,21 @@ def test_multiplicities_are_int64_up_to_the_edge_and_python_ints_past_it(k, n):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_rank_walk_is_a_sort_by_index(seed):
-    # the run's tuples, sorted by index, cut after s: counts per type
+    # the run's tuples (as their types), sorted by index, cut after s:
+    # counts per type
     r = rng(131, seed)
     k, n = r.randint(1, 4), r.randint(1, 6)
     types = IidTypes(k, n)
     members = sorted(r.sample(range(len(types)), r.randint(1, len(types))))
     by_counts = {count_vector(types, t, k): t for t in members}
-    run = [x for x in itertools.product(range(k), repeat=n)
-           if tuple(np.bincount(x, minlength=k).tolist()) in by_counts]
-    for s in {0, 1, r.randint(0, len(run)), len(run) - 1, len(run)}:
-        want = dict.fromkeys(members, 0)
-        for x in run[:s]:
-            want[by_counts[tuple(np.bincount(x, minlength=k).tolist())]] += 1
+    run = [by_counts[counts] for x in itertools.product(range(k), repeat=n)
+           if (counts := tuple(np.bincount(x, minlength=k).tolist())) in by_counts]
+    want = dict.fromkeys(members, 0)
+    for s in range(len(run) + 1):  # every cut, the exact fits of a letter included
         got = types.first_counts(np.array(members), s)
         assert got.tolist() == [want[t] for t in members]
+        if s < len(run):
+            want[run[s]] += 1
 
 
 def test_rank_walk_past_int64():
@@ -167,6 +168,21 @@ def test_rank_walk_past_int64():
         ones = count_vector(types, t, 2)[1]
         tail = sum(1 for y in range(12345) if y.bit_count() + 1 == ones)
         assert taken == math.comb(69, ones) + tail
+
+
+@pytest.mark.parametrize("p,rate,n,row", [
+    ((0.5, 0.3, 0.2), 1.6, 160,
+     "160,1.6,1,115792089237316195423570985008687907853269984665640564039457584007913129639936,"
+     "7292650792727469122860266592261331540640883862593859373362419685159443134562,"
+     "1.0000635862,0.000702885576959,1.00281154231,2.89480223093e+76,0.0125"),
+    ((0.4, 0.3, 0.2, 0.1), 1.9, 60,
+     "60,1.9,1,20769187434139310514121985316880384,9611795134845910061464493744757808,"
+     "4.74589797229,2.06980244528,9.27920978114,5.19229685853e+33,0.0333333333333"),
+], ids=["ternary-n160", "four-letters-n60"])
+def test_deep_rows_keep_their_bytes(p, rate, n, row):
+    # rows no enumeration reaches, so the oracle above cannot check them,
+    # whose cut runs hold up to 71 and 549 types
+    assert block_experiment(Pmf(p), n, rate, 1.0, cap=10 ** 200).csv_row() == row
 
 
 @pytest.mark.parametrize("masses,n", [([0.9, 0.1], 9), ([0.5, 0.3, 0.2], 6),
