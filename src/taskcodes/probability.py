@@ -17,8 +17,11 @@ live in taskcodes.mismatch.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -393,16 +396,10 @@ class IidTypes:
         if p.size != self.k:
             raise AlphabetMismatchError(f"alphabet sizes differ: {p.size} vs {self.k}")
         terms = self.counts * p.log_masses[self.letters]
-        out = []
-        start = 0
-        for d, group in enumerate(self.groups, start=1):
-            block = terms[start:start + d * group].reshape(group, d)
-            start += d * group
-            acc = block[:, 0].copy()
-            for j in range(1, d):
-                acc += block[:, j]
-            out.append(acc)
-        return np.concatenate(out)
+        ends = np.cumsum([d * group for d, group in enumerate(self.groups, 1)])
+        # a type's terms added one letter after another, in increasing letter order
+        return np.concatenate([functools.reduce(np.add, block.reshape(-1, d).T)
+                               for d, block in enumerate(np.split(terms, ends[:-1]), 1)])
 
     def entries(self, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The first entry and the number d of entries of each of `types`."""
@@ -418,40 +415,56 @@ class IidTypes:
         The walk, in Python ints, fixes the tuple's letters one position at
         a time.  With a prefix fixed and `left` letters to go, a type whose
         remaining counts are r has ways = multinomial(r) completions, of
-        which ways * r_a / left start with letter a.  At each position the
-        letters are taken in increasing order while their completions fit
-        in s; the first that does not fit joins the prefix, with its types."""
+        which ways * r_a / left start with letter a.  At each position it
+        goes over the (type, letter) pairs of the live types in letter order
+        while their completions fit in s; the letter of the first that does
+        not fit joins the prefix, and the types holding it stay live (the
+        others get ways 0, and their pairs go once half the live types have
+        left).  Past half the run it walks the last total - s tuples: the
+        first ones with the letters read backwards."""
         members = np.asarray(members, dtype=np.intp)
         completions = self.multiplicity[members].copy()
-        if s >= completions.sum():
+        total = completions.sum()
+        if s >= total:
             return completions
         if members.size == 1:  # the first s tuples of one class
             completions[0] = s
             return completions
-        ways = completions.tolist()
-        # left_of[a][i]: how many a's type i has still to place
-        left_of = [[0] * len(ways) for _ in range(self.k)]
+        flip = 2 * s > total
         starts, widths = self.entries(members)
-        for i, (e, d) in enumerate(zip(starts.tolist(), widths.tolist())):
-            for a, count in zip(self.letters[e:e + d].tolist(), self.counts[e:e + d].tolist()):
-                left_of[a][i] = count
-        taken, live = [0] * len(ways), range(len(ways))
+        owner = np.repeat(np.arange(members.size), widths)
+        entry = np.arange(owner.size) + np.repeat(starts - np.cumsum(widths) + widths, widths)
+        letter = self.k - 1 - self.letters[entry] if flip else self.letters[entry]
+        by_letter = np.argsort(letter, kind="stable")
+        owner, letter, count = (a[by_letter].tolist() for a in (owner, letter, self.counts[entry]))
+        s, ways, taken = int(total - s) if flip else s, completions.tolist(), [0] * members.size
+        live, packed = range(members.size), members.size
         for left in range(self.n, 0, -1):
             if s == 0:
                 break
-            for row in left_of:  # the letters in increasing order
-                share = [ways[i] * row[i] // left for i in live]
-                fit = sum(share)
-                if fit > s:
-                    break
-                s -= fit
-                for i, w in zip(live, share):
-                    taken[i] += w
-            live = [i for i, w in zip(live, share) if w]  # the types holding it
-            for i, w in zip(live, filter(None, share)):
+            # left * (the completions before each pair), up to the first pair past s
+            below = list(itertools.takewhile((s * left).__ge__, itertools.accumulate(
+                map(operator.mul, map(ways.__getitem__, owner), count), initial=0)))
+            pick = letter[len(below) - 1]
+            first = bisect.bisect_left(letter, pick, 0, len(below))
+            stop = bisect.bisect_right(letter, pick, len(below) - 1)
+            for i, c in zip(owner[:first], count[:first]):
+                taken[i] += ways[i] * c // left
+            s -= below[first] // left
+            share = [ways[i] * c // left for i, c in zip(owner[first:stop], count[first:stop])]
+            for i in live:
+                ways[i] = 0
+            for i, w in zip(owner[first:stop], share):
                 ways[i] = w
-                row[i] -= 1
-        return np.array(taken, dtype=completions.dtype)
+            live = list(itertools.compress(owner[first:stop], share))
+            count[first:stop] = [c - 1 for c in count[first:stop]]
+            if 2 * len(live) <= packed:  # drop the pairs of the types that left
+                keep = [ways[i] * c for i, c in zip(owner, count)]
+                owner, letter, count = (list(itertools.compress(a, keep))
+                                        for a in (owner, letter, count))
+                packed = len(live)
+        taken = np.array(taken, dtype=completions.dtype)
+        return completions - taken if flip else taken
 
 
 def _combinations(m: int, d: int) -> np.ndarray:

@@ -7,6 +7,7 @@ and the Renyi entropy and Sundaresan's penalty sum the tuples with fsum
 """
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -157,6 +158,28 @@ def test_rank_walk_is_a_sort_by_index(seed):
         assert got.tolist() == [want[t] for t in members]
         if s < len(run):
             want[run[s]] += 1
+
+
+@pytest.mark.parametrize("k,n,rate", [(4096, 1, "7.5"), (64, 3, "5.6")])
+def test_large_alphabet_of_tied_masses_gives_the_enumerated_row(k, n, rate):
+    # every type sits in one budget run, cut between blocks: the walk splits
+    # 4096 and 45,760 types, and its work follows the letters they hold, not k
+    p, rate = Pmf([1 / k] * k), Fraction(rate)
+    assert fields(block_experiment(p, n, rate, 1.0)) == fields(enumerated_row(p, n, rate, 1.0))
+
+
+def test_rank_walk_memory_follows_the_pairs_not_k():
+    # 4096 one-letter types, the run cut past its middle: a k x T table of
+    # letter counts would hold 4096^2 slots (134 MB)
+    types = IidTypes(4096, 1)
+    tracemalloc.start()
+    try:
+        got = types.first_counts(np.arange(4096), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [1] * 3000 + [0] * 1096
+    assert peak < 2 ** 22
 
 
 def test_rank_walk_past_int64():
