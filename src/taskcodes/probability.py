@@ -18,7 +18,6 @@ live in taskcodes.mismatch.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -396,10 +395,16 @@ class IidTypes:
         if p.size != self.k:
             raise AlphabetMismatchError(f"alphabet sizes differ: {p.size} vs {self.k}")
         terms = self.counts * p.log_masses[self.letters]
-        ends = np.cumsum([d * group for d, group in enumerate(self.groups, 1)])
-        # a type's terms added one letter after another, in increasing letter order
-        return np.concatenate([functools.reduce(np.add, block.reshape(-1, d).T)
-                               for d, block in enumerate(np.split(terms, ends[:-1]), 1)])
+        out = []
+        start = 0
+        for d, group in enumerate(self.groups, start=1):
+            block = terms[start:start + d * group].reshape(group, d)
+            start += d * group
+            acc = block[:, 0].copy()
+            for j in range(1, d):
+                acc += block[:, j]
+            out.append(acc)
+        return np.concatenate(out)
 
     def entries(self, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The first entry and the number d of entries of each of `types`."""
