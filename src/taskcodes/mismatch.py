@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import SupportViolationError
 from .probability import (
     DEFAULT_TUPLE_CAP,
@@ -40,12 +42,17 @@ def _log2_common_sum(p, q, a: float, b: float) -> float:
     each weighted by its multiplicity."""
     both = (p.masses > 0.0) & (q.masses > 0.0)
     counts = p.multiplicity
-    return log2sumexp(a * p.log_masses[both] + b * q.log_masses[both],
-                      None if counts is None else counts[both])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log2sumexp(a * p.log_masses[both] + b * q.log_masses[both],
+                          None if counts is None else counts[both])
 
 
-def _nonnegative(value: float) -> float:
-    """A divergence, read as 0 when rounding left it in (-1e-12, 0)."""
+def _nonnegative(value: float, alpha: float) -> float:
+    """A divergence, read as 0 when rounding left it in (-1e-12, 0).  No
+    divergence is nan or negative, so a value below that means the sums of
+    order alpha left the float range: OverflowError."""
+    if not value >= -1e-12:
+        raise OverflowError(f"the divergence of order {alpha!r} leaves the float range")
     return 0.0 if -1e-12 < value < 0.0 else value
 
 
@@ -64,14 +71,13 @@ def sundaresan_divergence(p, q, alpha: float) -> float:
 def _sundaresan(p, q, alpha: float, h: float) -> float:
     """sundaresan_divergence(p, q, alpha) for a checked order and h = H_alpha(p)."""
     _check_alphabets(p, q)
-    log_a = log2sumexp(alpha * q.log_masses, p.multiplicity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_a = log2sumexp(alpha * q.log_masses, p.multiplicity)
     if alpha < 1.0 and _escapes(p, q):
         return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
+    # with alpha > 1 and disjoint supports log_c is -inf and the value inf
     log_c = _log2_common_sum(p, q, 1.0, alpha - 1.0)
-    if math.isinf(log_c):
-        # only reachable with alpha > 1 and disjoint supports
-        return math.inf
-    return _nonnegative(log_a - h + alpha / (1.0 - alpha) * log_c)
+    return _nonnegative(log_a - h + alpha / (1.0 - alpha) * log_c, alpha)
 
 
 def renyi_divergence(p, q, alpha: float) -> float:
@@ -85,7 +91,7 @@ def renyi_divergence(p, q, alpha: float) -> float:
     _check_alphabets(p, q)
     if alpha > 1.0 and _escapes(p, q):
         return math.inf
-    return _nonnegative(_log2_common_sum(p, q, alpha, 1.0 - alpha) / (alpha - 1.0))
+    return _nonnegative(_log2_common_sum(p, q, alpha, 1.0 - alpha) / (alpha - 1.0), alpha)
 
 
 class DivergenceLimits(NamedTuple):

@@ -75,9 +75,6 @@ def grouped_fsum(values: np.ndarray, counts=None) -> float:
     values = np.asarray(values, dtype=float)
     if counts is None:
         return math.fsum(as_floats(values))
-    keep = counts > 0
-    if not keep.all():
-        values, counts = values[keep], counts[keep]
     if not np.isfinite(values).all():
         return math.fsum(as_floats(values))  # an inf or nan decides the sum
     # the least and the largest magnitude of a nonzero value
@@ -112,17 +109,18 @@ def log2sumexp(log_values: np.ndarray, counts=None) -> float:
 
     Entries of -inf contribute nothing; an all--inf input returns -inf.
     With counts, entry i stands for counts[i] equal entries and the sum is
-    grouped_fsum's correctly rounded one; without, numpy's pairwise sum.
+    grouped_fsum's correctly rounded one, to which a -inf entry adds an
+    exact 0 (an inf or nan one gives nan); without, numpy's pairwise sum,
+    which groups terms by position, so non-finite entries are dropped first.
     """
     arr = np.asarray(log_values, dtype=float)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        arr = arr[finite]
-        if counts is not None:
-            counts = counts[finite]
-    if arr.size == 0:
+    if counts is None:
+        finite = np.isfinite(arr)
+        if not finite.all():
+            arr = arr[finite]
+    top = float(arr.max(initial=-math.inf))
+    if top == -math.inf:
         return -math.inf
-    top = float(arr.max())
     # one temporary the size of the input: a joint law's can be 32 MB
     terms = arr - top
     np.exp2(terms, out=terms)
@@ -286,10 +284,15 @@ def renyi_entropy(dist, alpha: float) -> float:
     """Renyi entropy of order alpha in bits: (1/(1-alpha)) * log2 sum p^alpha.
 
     Accepts a Pmf, or a TypeLaw, whose sum weights each type by its
-    multiplicity.
+    multiplicity.  An order so large that the sum leaves the float range
+    raises OverflowError; a term that alone overflows to -inf is left out.
     """
     _check_alpha(alpha)
-    return log2sumexp(alpha * dist.log_masses, dist.multiplicity) / (1.0 - alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = log2sumexp(alpha * dist.log_masses, dist.multiplicity) / (1.0 - alpha)
+    if not math.isfinite(h):
+        raise OverflowError(f"the Renyi sum of order {alpha!r} leaves the float range")
+    return h
 
 
 def renyi_rho(dist, rho: float) -> float:
@@ -532,7 +535,8 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
     recursion v1(x) = initial(x)^alpha, v_{k+1}(x') = sum_x v_k(x) T(x,x')^alpha
     up to the last n.
 
-    Runs entirely in the log domain, so large n cannot underflow.  Each time
+    Runs entirely in the log domain, so large n cannot underflow; a row that
+    a huge order takes past the float range raises OverflowError.  Each time
     step is one array step: row x' of step_t + lv holds log2 of the terms
     v_k(x) T(x,x')^alpha, and _log2sumexp_rows reduces every row at once, to
     the same bits as a log2sumexp call per target state.
@@ -540,7 +544,8 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
     _check_alpha(alpha)
     out = []
     k = 1
-    with np.errstate(invalid="ignore"):  # a row of -inf only
+    # a huge order overflows terms to -inf; a row of -inf passes through nan
+    with np.errstate(over="ignore", invalid="ignore"):
         lv = alpha * src.initial.log_masses
         step_t = np.ascontiguousarray((alpha * src.log_transitions).T)
         for n in ns:
@@ -550,6 +555,9 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
                 lv = _log2sumexp_rows(step_t + lv)
             k = n
             out.append(log2sumexp(lv) / (1.0 - alpha))
+            if not math.isfinite(out[-1]):
+                raise OverflowError(f"the Renyi sum of order {alpha!r} at n = {n} "
+                                    "leaves the float range")
     return out
 
 

@@ -607,6 +607,32 @@ class TestOrders:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize("argv", [
+        # the rate at n = 7 is about 0.273, but log2 of its Renyi sum (-1.9e308) is no float
+        ["entropy", "--markov", "markov", "--alpha", "1e308", "--n", "6..7"],
+        # every term of the uniform law overflows: the sum is not 2 but inf
+        ["entropy", "--pmf", "uniform4", "--alpha", "1e308"],
+        # the Renyi divergence would print -0.848, and none is negative
+        ["mismatch", "--pmf", "fair", "--q", "bern01", "--alpha", "1e308"],
+    ], ids=["markov", "uniform", "mismatch"])
+    def test_sums_past_the_float_range_exit_2(self, capsys, files, argv):
+        code, err = run_error(capsys, fill(files, argv))
+        assert code == 2
+        assert err.startswith("error: numeric overflow: ")
+
+    @pytest.mark.parametrize("argv,expected", [
+        # only the 0.1 term overflows, and it is negligible beside 0.9^alpha
+        (["entropy", "--pmf", "bern01", "--alpha", "1e308"],
+         "alpha,entropy_bits\n1e+308,0.152003093445\n"),
+        (["entropy", "--markov", "markov", "--alpha", "1e300", "--n", "1..3"],
+         "n,entropy_rate_bits\n1,1\n2,0.576001546723\n3,0.434668728963\n"),
+    ], ids=["bernoulli", "markov"])
+    def test_huge_orders_inside_the_float_range_keep_their_bytes(self, capsys, files,
+                                                                 argv, expected):
+        code = main(fill(files, argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, expected, "")
+
     def test_empty_alpha_list_gives_the_default_orders(self, capsys, files):
         code, out = run(capsys, fill(files, ["mismatch", "--pmf", "fair", "--q", "bern01",
                                              "--alpha", ""]))

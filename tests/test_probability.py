@@ -13,6 +13,7 @@ from taskcodes import (
     Pmf,
     iid_joint,
     kl_divergence,
+    log2sumexp,
     markov_joint,
     markov_renyi_sums,
     read_markov_text,
@@ -20,6 +21,7 @@ from taskcodes import (
     renyi_entropy,
     renyi_rho,
 )
+from taskcodes.probability import grouped_fsum
 from conftest import random_pmf, rng
 
 # Independent oracle for the two-point law (0.9, 0.1) at order 1/2:
@@ -223,6 +225,33 @@ class TestMarkovRenyiSum:
         src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.99, 0.01], [0.01, 0.99]]))
         h = markov_renyi_sums(src, 0.5, [500])[0]
         assert math.isfinite(h) and h > 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_counted_log2sumexp_keeps_its_minus_inf_entries_as_zeros(seed):
+    r = rng(3, seed)
+    size = r.randint(1, 12)
+    logs = np.array([r.uniform(-60.0, 5.0) for _ in range(size)])
+    counts = np.array([r.choice([1, 2, 7, 1 << 30]) for _ in range(size)])
+    at = [r.randrange(size + 1) for _ in range(4)]
+    with_holes = np.insert(logs, at, -math.inf)
+    hole_counts = np.insert(counts, at, [3, 1, 1 << 40, 5])
+    assert log2sumexp(with_holes, hole_counts) == log2sumexp(logs, counts)
+    assert log2sumexp(with_holes, hole_counts.astype(object)) == log2sumexp(logs, counts)
+    assert log2sumexp(np.full(3, -math.inf), np.ones(3, dtype=np.int64)) == -math.inf
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_grouped_fsum_zero_count_adds_nothing(seed):
+    r = rng(4, seed)
+    size = r.randint(1, 12)
+    values = np.array([r.uniform(-1.0, 1.0) * 2.0 ** r.randint(-1070, 1000)
+                       for _ in range(size)])
+    counts = np.array([r.randint(1, 1 << 30) for _ in range(size)])
+    at = r.randrange(size + 1)
+    zero = r.uniform(-1.0, 1.0) * 2.0 ** r.randint(-1070, 1020)
+    assert (grouped_fsum(np.insert(values, at, zero), np.insert(counts, at, 0))
+            == grouped_fsum(values, counts))
 
 
 class TestKlDivergence:
