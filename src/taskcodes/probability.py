@@ -107,46 +107,47 @@ def grouped_fsum(values: np.ndarray, counts=None) -> float:
 def log2sumexp(log_values: np.ndarray, counts=None) -> float:
     """Return log2(sum(2**v for v in log_values)), stable for large spreads.
 
-    Entries of -inf contribute nothing; an all--inf input returns -inf.
-    With counts, entry i stands for counts[i] equal entries and the sum is
-    grouped_fsum's correctly rounded one, to which a -inf entry adds an
-    exact 0 (an inf or nan one gives nan); without, numpy's pairwise sum,
-    which groups terms by position, so non-finite entries are dropped first.
+    Without counts, _log2sumexp_rows of the one row: entries that are not
+    finite are dropped, and an input with none left returns -inf.  With
+    counts, entry i stands for counts[i] equal entries and every entry is
+    kept: the sum is grouped_fsum's correctly rounded one, to which a -inf
+    entry adds an exact 0 (an inf or nan one gives nan).
     """
     arr = np.asarray(log_values, dtype=float)
     if counts is None:
-        finite = np.isfinite(arr)
-        if not finite.all():
-            arr = arr[finite]
+        return float(_log2sumexp_rows(arr.reshape(1, -1))[0])
     top = float(arr.max(initial=-math.inf))
     if top == -math.inf:
         return -math.inf
     # one temporary the size of the input: a joint law's can be 32 MB
     terms = arr - top
     np.exp2(terms, out=terms)
-    total = float(terms.sum()) if counts is None else grouped_fsum(terms, counts)
-    return top + math.log2(total)
+    return top + math.log2(grouped_fsum(terms, counts))
 
 
 def _log2sumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log2sumexp of each row of a C-contiguous 2-D array of finite values
-    and -inf, bit for bit.
+    """log2(sum(2**v)) over the finite entries v of each row of a 2-D array;
+    a row with none gives -inf.
 
-    All rows go through one array step: numpy sums each contiguous row
-    pairwise, as it sums the 1-D array inside log2sumexp, and the logarithm
-    is math.log2 per row, because np.log2 can differ from it in the last
-    bit.  A row holding -inf is then redone by log2sumexp, which drops those
-    entries and so groups the pairwise sum differently; a row of -inf only
-    passes through nan (-inf - -inf) first, so callers ignore 'invalid'.
+    The rows whose entries are all finite go through one array step: numpy
+    sums each contiguous row of terms pairwise, and the logarithm is
+    math.log2 per row, because np.log2 can differ from it in the last bit.
+    The other rows are compacted, by how many finite entries they keep, into
+    arrays of finite rows that take the same step; so a row sums as its
+    finite entries alone would, and no row is ever formed as -inf - -inf.
     """
+    kept = np.isfinite(a)
+    if not (a.size and np.count_nonzero(kept) == a.size):
+        widths = kept.sum(axis=1)
+        out = np.full(len(a), -math.inf)
+        for w in set(widths.tolist()) - {0}:
+            rows = widths == w
+            out[rows] = _log2sumexp_rows(a[kept & rows[:, None]].reshape(-1, w))
+        return out
     top = np.fmax.reduce(a, axis=1)
     terms = a - top[:, None]
     np.exp2(terms, out=terms)
-    out = top + list(map(math.log2, terms.sum(axis=1).tolist()))
-    if a.min() == -math.inf:
-        for j in np.flatnonzero(np.isneginf(a).any(axis=1)).tolist():
-            out[j] = log2sumexp(a[j])
-    return out
+    return top + np.fromiter(map(math.log2, terms.sum(axis=1).tolist()), float, len(a))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -537,15 +538,14 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
 
     Runs entirely in the log domain, so large n cannot underflow; a row that
     a huge order takes past the float range raises OverflowError.  Each time
-    step is one array step: row x' of step_t + lv holds log2 of the terms
-    v_k(x) T(x,x')^alpha, and _log2sumexp_rows reduces every row at once, to
-    the same bits as a log2sumexp call per target state.
+    step is one _log2sumexp_rows call: row x' of step_t + lv holds log2 of
+    the terms v_k(x) T(x,x')^alpha, a zero transition's as -inf, and only
+    the finite terms are summed, as log2sumexp does for one state.
     """
     _check_alpha(alpha)
     out = []
     k = 1
-    # a huge order overflows terms to -inf; a row of -inf passes through nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # a huge order overflows terms to -inf
         lv = alpha * src.initial.log_masses
         step_t = np.ascontiguousarray((alpha * src.log_transitions).T)
         for n in ns:

@@ -23,6 +23,7 @@ from taskcodes import (
     markov_renyi_sums,
     moment,
 )
+from taskcodes import probability
 from taskcodes.probability import _log2sumexp_rows
 
 
@@ -120,20 +121,45 @@ def chains(draw) -> MarkovSource:
     return MarkovSource(initial, np.array(rows))
 
 
+def log2sumexp_1d(row) -> float:
+    """The counts-free log-sum as a 1-D formula: the finite entries alone,
+    summed by numpy's pairwise order over the filtered array."""
+    row = row[np.isfinite(row)]
+    top = float(row.max(initial=-math.inf))
+    if top == -math.inf:
+        return -math.inf
+    return top + math.log2(float(np.exp2(row - top).sum()))
+
+
 @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16, 63, 64, 65, 130])
 def test_log2sumexp_rows_matches_log2sumexp(width):
     # enough rows that np.log2 in place of math.log2 (which differ in the
     # last bit on about one sum in 4000), or -inf entries kept in the array
-    # step (which regroups numpy's pairwise sum), would show
+    # step (which regroups numpy's pairwise sum), would show; with warnings
+    # as errors, a row of -inf only, nan or +inf that passed through nan
+    # (-inf - -inf, inf - inf) would fail too
     rng = np.random.default_rng(width)
     a = rng.uniform(-60.0, 0.0, (40000 // width + 50, width))
     a[rng.random(a.shape) < 0.1] = -math.inf
     a[:20] = -math.inf
     a[20:30, 0] = 0.0
+    a[30:40, -1] = math.nan
+    a[40:50, 0] = math.inf
+    a[50:60, rng.integers(width, size=10)] = math.nan
     a = np.ascontiguousarray(a)
-    with np.errstate(invalid="ignore"):
-        got = _log2sumexp_rows(a)
+    got = _log2sumexp_rows(a)
     assert got.tolist() == [log2sumexp(row) for row in a]
+    assert got.tolist() == [log2sumexp_1d(row) for row in a]
+
+
+def test_log2sumexp_without_counts_keeps_only_finite_entries():
+    # a term that overflowed to +inf or nan at a huge order is left out, as
+    # a -inf one is, and nothing left gives -inf
+    assert log2sumexp([0.0, math.inf, math.nan, -math.inf]) == 0.0
+    assert log2sumexp([math.nan, math.inf]) == -math.inf
+    assert log2sumexp([]) == -math.inf
+    assert _log2sumexp_rows(np.empty((3, 0))).tolist() == [-math.inf] * 3
+    assert _log2sumexp_rows(np.empty((0, 3))).tolist() == []
 
 
 ALPHAS = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 5.0), st.sampled_from([0.5, 2.0]))
@@ -173,6 +199,18 @@ class TestMarkovRenyiSum:
     @example(chain([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]]), 0.5, list(range(1, 31)))
     def test_one_pass_rows_match_separate_calls(self, src, alpha, ns):
         assert markov_renyi_sums(src, alpha, ns) == [markov_renyi_sums(src, alpha, [n])[0] for n in ns]
+
+    def test_no_row_is_summed_on_its_own(self, monkeypatch):
+        # each time step reduces all rows in one call; log2sumexp runs only
+        # for the final sum of each requested n, zero transitions or not
+        calls = []
+        counted = probability.log2sumexp
+        monkeypatch.setattr(probability, "log2sumexp",
+                            lambda *args: calls.append(1) or counted(*args))
+        src = chain([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [1.0, 0.0, 0.0]])
+        rows = markov_renyi_sums(src, 0.5, [1, 4, 9])
+        assert len(calls) == 3
+        assert rows == [markov_renyi_sum_reference(src, 0.5, n) for n in [1, 4, 9]]
 
     @pytest.mark.parametrize("ns", [[0], [2, 1], [3, 5, 4]])
     def test_one_pass_needs_positive_nondecreasing_ns(self, ns):

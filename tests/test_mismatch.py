@@ -78,6 +78,14 @@ class TestRenyiDivergence:
             above = renyi_divergence(p, q, 1.0 + 1e-4)
             assert below - 1e-3 <= kl <= above + 1e-3
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the largest term overflows to +inf at order 1e308 and is "
+                              "dropped from the sum; ROADMAP item 4's term rewrite mends it")
+    def test_huge_order_nears_the_order_inf_limit(self):
+        # log2 max P/Q = log2 (0.6 / 0.1); today 0.222 is returned
+        got = renyi_divergence(Pmf([0.6, 0.35, 0.05]), Pmf([0.1, 0.3, 0.6]), 1e308)
+        assert got == pytest.approx(math.log2(6.0), abs=1e-9)
+
 
 class TestDivergenceLimits:
     def test_equal_uniform(self):
