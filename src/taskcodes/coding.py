@@ -8,14 +8,16 @@ above the number of blocks stay unused.  The constructed encoder derives
 per-element cardinality budgets from the law (size roughly proportional to
 P(x)^(-1/(1+rho))) and feeds them to the greedy partition builder, whose
 walk belongs to partitions; i.i.d. rows on type classes read their block
-sizes from that walk (greedy_pieces).  The moment of any encoder is
-sandwiched between two exponentials in the Renyi entropy of order
-1/(1+rho); an encoder designed for a mismatched law pays Sundaresan's
-divergence in the upper bound's exponent.
+sizes from that walk's run-length-coded blocks (greedy_blocks).  The
+moment of any encoder is sandwiched between two exponentials in the Renyi
+entropy of order 1/(1+rho); an encoder designed for a mismatched law pays
+Sundaresan's divergence in the upper bound's exponent.
 """
 from __future__ import annotations
 
+import bisect
 import decimal
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .mismatch import _sundaresan
 from .partitions import (LambdaBudget, Partition, _ziv_floor, build_partition,
-                         greedy_pieces)
+                         greedy_blocks)
 from .probability import (
     DEFAULT_TUPLE_CAP,
     IidTypes,
@@ -339,34 +341,42 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     on the n-tuples, found on the type classes without enumerating them.
 
     Each budget run of the greedy sweep is a union of type classes, in
-    tuple index order; partitions.greedy_pieces gives N and each run's
-    block sizes, and IidTypes.first_counts splits the types of a run of
-    several pieces between them.  The moment sums count * (L^rho * P) over
-    (type, piece) with grouped_fsum, which is fsum over the tuples.
+    tuple index order.  partitions.greedy_blocks gives the sweep's blocks
+    as (count, size) pairs, and so the stretch ends, where the block size
+    changes.  A run that no stretch end cuts takes one block size for all
+    its types; IidTypes.first_counts splits the types of every other run at
+    each stretch end inside it.  The moment sums count * (L^rho * P) over
+    (type, block size) with grouped_fsum, which is fsum over the tuples.
     """
     types = law.types
     budget = lambda_from_law(design, rho, m)  # per type
     order = np.argsort(budget.codes, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(budget.codes))))
     run_counts = np.add.reduceat(types.multiplicity[order], bounds[:-1]).tolist()
-    used, runs = greedy_pieces(budget.values, run_counts, law.size)
+    blocks = greedy_blocks(budget.values, run_counts, law.size)
+    used = sum(r for r, _ in blocks)
     if used > m:
         raise ValueError(f"{used} preimages exceed M = {m}")
-    # every (type, piece): the types of the one-piece runs in one gather,
+    # in Python ints, as k^n can pass 2^63: the stretch ends, the run
+    # starts, and the stretch holding each run's first position
+    ends = list(itertools.accumulate(r * s for r, s in blocks))
+    starts = [0, *itertools.accumulate(run_counts)]
+    at = [bisect.bisect_right(ends, a) for a in starts[:-1]]
+    # every (type, block size): the types of the whole runs in one gather,
     # then each cut run split by the rank walk
-    one = np.array([len(cut) == 1 for cut in runs])
+    one = np.array([ends[i] >= stop for i, stop in zip(at, starts[1:])])
     whole = np.flatnonzero(one[budget.codes])
     members, counts = [whole], [types.multiplicity[whole]]
-    sizes = [np.array([cut[0][1] for cut in runs], float)[budget.codes[whole]]]
+    sizes = [np.array([blocks[i][1] for i in at], float)[budget.codes[whole]]]
     for r in np.flatnonzero(~one).tolist():
         group = order[bounds[r]:bounds[r + 1]]
-        before, start = 0, runs[r - 1][-1][0] if r else 0
-        for end, s in runs[r]:
-            upto = types.first_counts(group, end - start)
+        before, start, end = 0, starts[r], starts[r + 1]
+        for i in range(at[r], bisect.bisect_left(ends, end) + 1):
+            upto = types.first_counts(group, min(ends[i], end) - start)
             some = upto > before
             members.append(group[some])
             counts.append((upto - before)[some])
-            sizes.append(np.full(members[-1].size, float(s)))
+            sizes.append(np.full(members[-1].size, float(blocks[i][1])))
             before = upto
     members, counts, sizes = map(np.concatenate, (members, counts, sizes))
     masses = law.masses[members]

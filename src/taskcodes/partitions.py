@@ -8,9 +8,10 @@ but a greedy sweep always fits within
 min_{a>1} floor(a*mu + log_a(k) + 2) blocks while keeping every block that
 contains x no larger than min(lambda(x), k).
 
-This module owns that sweep: greedy_pieces walks it, build_partition
-labels the elements from the walk, and the type classes of coding read
-their block sizes from it.
+This module owns that sweep: greedy_blocks walks it and returns its
+blocks run-length coded, as (count, size) pairs in sweep order;
+build_partition labels the elements from those pairs, and the type
+classes of coding read their block sizes from them.
 """
 from __future__ import annotations
 
@@ -279,46 +280,35 @@ def subset_count_bound(mu, alphabet_size: int) -> int:
     return subset_count_bound_detail(mu, alphabet_size)[0]
 
 
-def greedy_pieces(values, counts, size: int) -> tuple[int, list]:
-    """Walk the greedy sweep of build_partition over runs of equal budgets.
+def greedy_blocks(values, counts, size: int) -> list[tuple[int, int]]:
+    """The blocks of build_partition's greedy sweep, in sweep order, run-length
+    coded: pairs (r, s) of r > 0 blocks of s elements each, neighbours of
+    different s, so N is the sum of the r.
 
-    values[r] is the budget of run r and counts[r] its element count, runs
+    values[i] is the budget of run i and counts[i] its element count, runs
     in increasing budget order; size is the ground-set size k.  Runs with a
-    budget >= k form the absorbing block; the others are swept, each new
-    block taking b elements, the budget of its first element, except the
-    last, which stops at the end of the sweep.
-
-    Returns N, with the absorbing block, and per run its pieces (end, block
-    size): the sweep positions from the previous piece's end (0 first) to
-    `end` sit in blocks of that size.  A swept run has at most three pieces,
-    equal neighbours merged (the tail of the block before it, its own
-    blocks, a last block cut short by the end of the sweep); an absorbed
-    run has one, an empty run none.
+    budget >= k form the absorbing block, which comes last; the others are
+    swept, each new block taking b elements, the budget of its first
+    element, except the last, which stops at the end of the sweep.
     """
     swept = sum(c for b, c in zip(values, counts) if b < size)
-    used = int(swept < size)
-    pieces = []
-    start = head = tail = 0  # tail: the size of the block that reaches past head
+    pairs = []
+    end = head = 0  # head: the first position no block holds yet
     for b, count in zip(values, counts):
-        end = start + count
-        if b >= size:
-            cut = [(end, size - swept)]
-        elif head >= end:  # the block before the run covers all of it
-            cut = [(end, tail)]
-        else:
+        end += count
+        if b < size and head < end:
             heads = -(-(end - head) // b)
-            used += heads
             last = head + (heads - 1) * b
-            cut = []
-            for e, s in ((head, tail), (last, b), (end, min(b, swept - last))):
-                if e > (cut[-1][0] if cut else start):
-                    if cut and cut[-1][1] == s:
-                        cut.pop()
-                    cut.append((e, s))
-            head, tail = last + b, cut[-1][1]
-        pieces.append(cut if count else [])
-        start = end
-    return used, pieces
+            head = last + b
+            pairs += [(heads - 1, b), (1, min(b, swept - last))]
+    pairs.append((int(swept < size), size - swept))
+    blocks = []  # merged, so a stretch ends only where the block size changes
+    for r, s in pairs:
+        if blocks and blocks[-1][1] == s:
+            r += blocks.pop()[0]
+        if r:
+            blocks.append((r, s))
+    return blocks
 
 
 def build_partition(budget: LambdaBudget) -> Partition:
@@ -328,21 +318,16 @@ def build_partition(budget: LambdaBudget) -> Partition:
     are swept in order of increasing (lambda(x), x), each new block taking
     lambda(head) elements (or all that remain).  The result satisfies
     L(x) <= min(lambda(x), k) and uses at most subset_count_bound(mu, k)
-    blocks.
-
-    The walk is greedy_pieces': a stretch of the sweep where the block
-    size s does not change holds whole blocks of s elements.
+    blocks.  The blocks, in sweep order, are greedy_blocks'.
     """
     size = budget.codes.size
     order = np.argsort(budget.codes, kind="stable")  # the (lambda(x), x) order
-    used, runs = greedy_pieces(budget.values, np.bincount(budget.codes).tolist(), size)
-    ends, sizes = np.array([piece for cut in runs for piece in cut]).T
-    last = np.append(sizes[1:] != sizes[:-1], True)  # the last piece of each stretch
-    ends, sizes = ends[last], sizes[last]
-    blocks = np.repeat(sizes, np.diff(ends, prepend=0) // sizes)  # in sweep order
-    absorbed = int(budget.values[budget.codes.max()] >= size)  # then the last block
+    blocks = greedy_blocks(budget.values, np.bincount(budget.codes).tolist(), size)
+    reps, sizes = np.array(blocks).T
+    used = int(reps.sum())
+    absorbed = int(budget.values[budget.codes.max()] >= size)  # sweep-last, block 0
     labels = np.empty(size, dtype=np.intp)
-    labels[order] = np.repeat((np.arange(used) + absorbed) % used, blocks)
+    labels[order] = np.repeat((np.arange(used) + absorbed) % used, np.repeat(sizes, reps))
     return Partition.from_labels(labels)
 
 

@@ -16,8 +16,9 @@ from taskcodes import (
     subset_count_bound_detail,
     verify_budget,
 )
-from taskcodes.partitions import _floor_plus_log, greedy_pieces
+from taskcodes.partitions import _floor_plus_log, greedy_blocks
 from conftest import random_budget, random_partition, rng
+from test_array_paths import greedy_reference
 
 
 class TestPartition:
@@ -169,24 +170,22 @@ def budget_runs(draw):
     return values, counts, budgets
 
 
-class TestGreedyPieces:
+class TestGreedyBlocks:
     @given(budget_runs())
-    def test_pieces_are_the_partitions_block_sizes(self, runs):
+    def test_blocks_are_the_per_element_sweep(self, runs):
         values, counts, budgets = runs
-        budget = LambdaBudget(budgets)
-        part = build_partition(budget)
-        used, pieces = greedy_pieces(values, counts, len(budgets))
-        assert used == part.num_blocks
-        assert len(pieces) == len(counts)
-        got, start = [], 0
-        for count, cut in zip(counts, pieces):
-            assert cut[-1][0] == start + count and len(cut) <= 3
-            assert all(a[1] != b[1] for a, b in zip(cut, cut[1:]))  # neighbours merged
-            for end, s in cut:
-                got += [s] * (end - start)
-                start = end
-        order = np.argsort(budget.codes, kind="stable")  # the (lambda(x), x) order
-        assert got == part.sizes[part.labels][order].tolist()
+        blocks = greedy_blocks(values, counts, len(budgets))
+        assert all(r > 0 for r, _ in blocks)
+        assert all(a[1] != b[1] for a, b in zip(blocks, blocks[1:]))  # neighbours merged
+        used = sum(r for r, _ in blocks)
+        assert used <= subset_count_bound(LambdaBudget(budgets).mu, len(budgets))
+        # the reference lists the absorbing block first; the sweep ends with it
+        want = list(greedy_reference(budgets))
+        if any(b >= len(budgets) for b in budgets):
+            want = want[1:] + want[:1]
+        assert used == len(want)
+        got = [s for r, s in blocks for _ in range(r * s)]
+        assert got == [len(block) for block in want for _ in block]
 
 
 class TestBuildPartition:
