@@ -344,8 +344,9 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     tuple index order.  partitions.greedy_blocks gives the sweep's blocks
     as (count, size) pairs, and so the stretch ends, where the block size
     changes.  A run that no stretch end cuts takes one block size for all
-    its types; IidTypes.first_counts splits the types of every other run at
-    each stretch end inside it.  The moment sums count * (L^rho * P) over
+    its types.  Position alone splits a cut run at its end and a one-type
+    run anywhere; IidTypes.first_counts splits interleaved types at the
+    other stretch ends.  The moment sums count * (L^rho * P) over
     (type, block size) with grouped_fsum, which is fsum over the tuples.
     """
     types = law.types
@@ -363,7 +364,7 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     starts = [0, *itertools.accumulate(run_counts)]
     at = [bisect.bisect_right(ends, a) for a in starts[:-1]]
     # every (type, block size): the types of the whole runs in one gather,
-    # then each cut run split by the rank walk
+    # then each cut run's pieces, one per stretch end inside it or its end
     one = np.array([ends[i] >= stop for i, stop in zip(at, starts[1:])])
     whole = np.flatnonzero(one[budget.codes])
     members, counts = [whole], [types.multiplicity[whole]]
@@ -372,7 +373,9 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
         group = order[bounds[r]:bounds[r + 1]]
         before, start, end = 0, starts[r], starts[r + 1]
         for i in range(at[r], bisect.bisect_left(ends, end) + 1):
-            upto = types.first_counts(group, min(ends[i], end) - start)
+            upto = (types.multiplicity[group] if ends[i] >= end
+                    else np.array([ends[i] - start], types.multiplicity.dtype) if group.size == 1
+                    else types.first_counts(group, ends[i] - start))
             some = upto > before
             members.append(group[some])
             counts.append((upto - before)[some])

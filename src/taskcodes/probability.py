@@ -419,7 +419,7 @@ class IidTypes:
 
     def first_counts(self, members: np.ndarray, s: int) -> np.ndarray:
         """How many of the first s tuples, in index order, of the union of
-        the classes of the types `members` fall in each of those classes.
+        the classes of the types `members` (0 <= s <= its size) fall in each.
 
         The walk, in Python ints, fixes the tuple's letters one position at
         a time.  With a prefix fixed and `left` letters to go, a type whose
@@ -432,13 +432,8 @@ class IidTypes:
         left).  Past half the run it walks the last total - s tuples: the
         first ones with the letters read backwards."""
         members = np.asarray(members, dtype=np.intp)
-        completions = self.multiplicity[members].copy()
+        completions = self.multiplicity[members]
         total = completions.sum()
-        if s >= total:
-            return completions
-        if members.size == 1:  # the first s tuples of one class
-            completions[0] = s
-            return completions
         flip = 2 * s > total
         starts, widths = self.entries(members)
         owner = np.repeat(np.arange(members.size), widths)

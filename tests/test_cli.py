@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -720,23 +721,47 @@ def test_one_process_gives_the_bytes_of_separate_calls(capsys, files, monkeypatc
                                                       alone.stderr)
 
 
-def test_calls_leave_numpy_ma_unimported(files):
+# the modules, besides numpy's and the package's own, that a process running
+# the CLI may import; scipy or mpmath (both installable next to numpy) would
+# cost every benchmark job tens of ms of setup_s and far more than 3% of its
+# peak RSS
+STARTUP_IMPORTS = {"__future__", "argparse", "gettext", "decimal", "_decimal", "fractions",
+                   "locale", "_locale"}
+
+
+def test_calls_leave_numpy_ma_unimported(files, tmp_path):
     """No call path imports numpy.ma, which the first np.unique or np.union1d
-    does at a cost of 16-19 ms and about 0.6 MB per process."""
+    does at a cost of 16-19 ms and about 0.6 MB per process, nor any module
+    outside STARTUP_IMPORTS: checked over five calls and the seven calls of
+    the benchmark's three workloads, in a fresh interpreter."""
     calls = [["sweep", "--pmf", "bern01", "--rate", "0.9", "--rho", "1", "--n", "8..8"],
              ["sweep", "--pmf", "fair", "--q", "bern01", "--rate", "1.6", "--rho", "1",
               "--n", "8..8"],
              ["construct", "--pmf", "uniform4", "--M", "5", "--rho", "1"],
              ["oracle", "--pmf", "uniform4", "--M", "2", "--rho", "1"],
              ["entropy", "--markov", "markov", "--alpha", "0.5", "--n", "4..4"]]
-    script = ("import json, sys; from taskcodes.cli import main\n"
+    calls = [fill(files, call) for call in calls]
+    root = Path(__file__).resolve().parents[1]
+    workloads = runpy.run_path(str(root / "benchmarks" / "workloads.py"))
+    for workload in workloads["WORKLOADS"]:
+        inputs, argvs = workloads["job"](workload, 0)
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        calls += argvs
+    script = ("import json, sys, numpy\n"
+              "before = set(sys.modules)\n"
+              "from taskcodes.cli import main\n"
               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    argv = json.dumps([fill(files, call) for call in calls])
-    done = subprocess.run([sys.executable, "-c", script, argv], env=env,
-                          capture_output=True, text=True, check=False)
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0] * len(calls), False]
+              "print(json.dumps([codes, sorted(set(sys.modules) - before)]))")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("TASKCODES_CAP", None)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(calls)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, check=False)
+    codes, added = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * (len(calls) - 1) + [3]  # the last one is over the tuple cap
+    assert "numpy.ma" not in added
+    assert sorted({name for name in added if name.partition(".")[0] != "taskcodes"}
+                  - STARTUP_IMPORTS) == []
 
 
 @pytest.mark.parametrize("command", README_EXAMPLES)

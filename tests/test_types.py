@@ -189,6 +189,41 @@ def test_rank_walk_past_int64():
         assert taken == math.comb(69, ones) + tail
 
 
+def walk_calls(p, n, rate, rho, design=None):
+    """The (multiplicities of the members, s) of each rank walk that
+    block_experiment takes on the row."""
+    calls, walk = [], IidTypes.first_counts
+
+    def spy(types, members, s):
+        calls.append((types.multiplicity[members].tolist(), s))
+        return walk(types, members, s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IidTypes, "first_counts", spy)
+        try:
+            block_experiment(p, n, rate, rho, design)
+        except RateTooSmallError:
+            pass
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows())
+@example((Pmf([0.5, 0.3, 0.2]), 13, Fraction("1.4"), 1.0, Pmf([0.6, 0.3, 0.1])))
+@example((Pmf([1 / 64] * 64), 3, Fraction("5.6"), 1.0, None))
+def test_the_walk_runs_only_where_types_interleave(row):
+    # a one-type run and a run's end are split by position: the walk gets
+    # two or more types and a cut strictly inside their tuples
+    for mults, s in walk_calls(*row):
+        assert len(mults) >= 2 and 0 < s < sum(mults)
+
+
+def test_benchmark_rows_walk_only_inside_runs_of_several_types():
+    ternary, design = Pmf([0.5, 0.3, 0.2]), Pmf([0.6, 0.3, 0.1])
+    assert walk_calls(Pmf([0.9, 0.1]), 20, "0.9", 1.0) == []  # sweep_iid
+    assert len(walk_calls(ternary, 13, "1.4", 1.0, design)) == 7  # sweep_mismatch
+
+
 @pytest.mark.parametrize("p,rate,n,row", [
     ((0.5, 0.3, 0.2), 1.6, 160,
      "160,1.6,1,115792089237316195423570985008687907853269984665640564039457584007913129639936,"
