@@ -8,7 +8,6 @@ violation or overflow, 3 enumeration cap exceeded.  Output is CSV ('.' decimal
 separator, 12 significant digits, LF line endings); identical inputs give
 byte-identical output.
 """
-from __future__ import annotations
 
 import argparse
 import functools

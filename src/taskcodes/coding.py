@@ -13,7 +13,6 @@ moment of any encoder is sandwiched between two exponentials in the Renyi
 entropy of order 1/(1+rho); an encoder designed for a mismatched law pays
 Sundaresan's divergence in the upper bound's exponent.
 """
-from __future__ import annotations
 
 import bisect
 import decimal

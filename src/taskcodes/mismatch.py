@@ -8,18 +8,15 @@ the penalty is Sundaresan's divergence
 
 evaluated at alpha = 1/(1+rho), where H_alpha is the Renyi entropy.
 Conventions 0/0 = 0 and a/0 = +inf apply symbol by symbol.  The three
-terms are computed separately in the log domain and only then combined.
+terms are log2 power sums of taskcodes.probability, combined only here.
 This module holds the divergences only: the mismatched bound is
 taskcodes.coding.upper_bound(p, m, rho, design=q), and mismatched block
 experiments are taskcodes.coding.block_experiment(p, n, rate, rho,
 design=q).
 """
-from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import SupportViolationError
 from .probability import (
@@ -31,20 +28,10 @@ from .probability import (
     _check_alphabets,
     _check_cap,
     _escapes,
+    _log2_power_sum,
     kl_divergence,
-    log2sumexp,
     renyi_entropy,
 )
-
-
-def _log2_common_sum(p, q, a: float, b: float) -> float:
-    """log2 sum P^a Q^b over the symbols where both p and q are positive,
-    each weighted by its multiplicity."""
-    both = (p.masses > 0.0) & (q.masses > 0.0)
-    counts = p.multiplicity
-    with np.errstate(over="ignore", invalid="ignore"):
-        return log2sumexp(a * p.log_masses[both] + b * q.log_masses[both],
-                          None if counts is None else counts[both])
 
 
 def _nonnegative(value: float, alpha: float) -> float:
@@ -71,12 +58,11 @@ def sundaresan_divergence(p, q, alpha: float) -> float:
 def _sundaresan(p, q, alpha: float, h: float) -> float:
     """sundaresan_divergence(p, q, alpha) for a checked order and h = H_alpha(p)."""
     _check_alphabets(p, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_a = log2sumexp(alpha * q.log_masses, p.multiplicity)
+    log_a = _log2_power_sum(q, alpha, q, 0.0)
     if alpha < 1.0 and _escapes(p, q):
         return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
     # with alpha > 1 and disjoint supports log_c is -inf and the value inf
-    log_c = _log2_common_sum(p, q, 1.0, alpha - 1.0)
+    log_c = _log2_power_sum(p, 1.0, q, alpha - 1.0)
     return _nonnegative(log_a - h + alpha / (1.0 - alpha) * log_c, alpha)
 
 
@@ -91,7 +77,7 @@ def renyi_divergence(p, q, alpha: float) -> float:
     _check_alphabets(p, q)
     if alpha > 1.0 and _escapes(p, q):
         return math.inf
-    return _nonnegative(_log2_common_sum(p, q, alpha, 1.0 - alpha) / (alpha - 1.0), alpha)
+    return _nonnegative(_log2_power_sum(p, alpha, q, 1.0 - alpha) / (alpha - 1.0), alpha)
 
 
 class DivergenceLimits(NamedTuple):
@@ -116,11 +102,13 @@ def divergence_limits(p: Pmf, q: Pmf) -> DivergenceLimits:
     if _escapes(p, q):
         raise SupportViolationError("supp(p) must be contained in supp(q)")
     order0 = math.log2(q.support.size / p.support.size)
-    qmax = float(q.masses.max())
-    argmax = q.masses >= qmax - 1e-12
-    avg = float(p.masses[argmax].mean())
+    avg = float(p.masses[q.masses == q.masses.max()].mean())
     pmax = float(p.masses.max())
-    order_inf = math.inf if avg == 0.0 else math.log2(pmax / avg)
+    if avg == 0.0:
+        order_inf = math.inf
+    else:  # log2(pmax / avg), from the two logs where the quotient alone overflows
+        ratio = pmax / avg
+        order_inf = math.log2(ratio) if ratio < math.inf else math.log2(pmax) - math.log2(avg)
     probes = {a: sundaresan_divergence(p, q, a) for a in _PROBE_ALPHAS}
     return DivergenceLimits(
         kl=kl_divergence(p, q), order0=order0, order_inf=order_inf, probes=probes

@@ -13,7 +13,6 @@ blocks run-length coded, as (count, size) pairs in sweep order;
 build_partition labels the elements from those pairs, and the type
 classes of coding read their block sizes from them.
 """
-from __future__ import annotations
 
 import decimal
 import itertools

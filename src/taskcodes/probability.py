@@ -15,7 +15,6 @@ so a type-class quantity equals its enumerated counterpart bit for bit when
 both sum with grouped_fsum.  Divergences between two laws other than KL
 live in taskcodes.mismatch.
 """
-from __future__ import annotations
 
 import bisect
 import itertools
@@ -281,6 +280,16 @@ def _check_cap(base: int, n: int, cap: int) -> None:
         raise CapExceededError(f"enumeration of {base}^{n} tuples exceeds cap {cap}")
 
 
+def _log2_power_sum(p, a: float, q, b: float) -> float:
+    """log2 sum P^a Q^b over the symbols where both p and q are positive,
+    each weighted by p's multiplicity: the one power sum behind the Renyi
+    entropy (q = p, b = 0) and both divergences of taskcodes.mismatch."""
+    both = (p.masses > 0.0) & (q.masses > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log2sumexp(a * p.log_masses[both] + b * q.log_masses[both],
+                          None if p.multiplicity is None else p.multiplicity[both])
+
+
 def renyi_entropy(dist, alpha: float) -> float:
     """Renyi entropy of order alpha in bits: (1/(1-alpha)) * log2 sum p^alpha.
 
@@ -289,8 +298,7 @@ def renyi_entropy(dist, alpha: float) -> float:
     raises OverflowError; a term that alone overflows to -inf is left out.
     """
     _check_alpha(alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = log2sumexp(alpha * dist.log_masses, dist.multiplicity) / (1.0 - alpha)
+    h = _log2_power_sum(dist, alpha, dist, 0.0) / (1.0 - alpha)
     if not math.isfinite(h):
         raise OverflowError(f"the Renyi sum of order {alpha!r} leaves the float range")
     return h
@@ -565,9 +573,12 @@ def kl_divergence(p, q) -> float:
         return math.inf
     supp = p.masses > 0.0
     pm = p.masses[supp]
-    qm = q.masses[supp]
+    with np.errstate(over="ignore"):
+        logs = np.log2(pm / q.masses[supp])
+    far = logs == math.inf  # P/Q past the float range: log2 P - log2 Q instead
+    logs[far] = p.log_masses[supp][far] - q.log_masses[supp][far]
     counts = None if p.multiplicity is None else p.multiplicity[supp]
-    return grouped_fsum(pm * np.log2(pm / qm), counts)
+    return grouped_fsum(pm * logs, counts)
 
 
 def _data_lines(text: str):

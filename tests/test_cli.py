@@ -725,8 +725,8 @@ def test_one_process_gives_the_bytes_of_separate_calls(capsys, files, monkeypatc
 # the CLI may import; scipy or mpmath (both installable next to numpy) would
 # cost every benchmark job tens of ms of setup_s and far more than 3% of its
 # peak RSS
-STARTUP_IMPORTS = {"__future__", "argparse", "gettext", "decimal", "_decimal", "fractions",
-                   "locale", "_locale"}
+STARTUP_IMPORTS = {"argparse", "gettext", "decimal", "_decimal", "fractions", "locale",
+                   "_locale"}
 
 
 def test_calls_leave_numpy_ma_unimported(files, tmp_path):

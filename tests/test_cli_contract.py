@@ -7,7 +7,7 @@ import io
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taskcodes.cli import main
 
@@ -16,6 +16,7 @@ FILES = {
     "bern.pmf": b"0.9\n0.1\n",
     "point.pmf": b"1\n0\n",
     "z3.pmf": b"0.5\n0.3\n0.2\n",
+    "tiny.pmf": b"1\n5e-324\n",
     "bad.pmf": b"0.5\nnope\n",
     "latin1.pmf": b"0.5\n0.5\xe9\n",
     "sticky.markov": b"2\n0.5 0.5\n0.9 0.1\n0.1 0.9\n",
@@ -39,7 +40,8 @@ CALLS = [
 # values of each flag that a call can succeed with (PMFs of different sizes
 # can still clash)
 GOOD = {
-    "--pmf": ["bern.pmf", "z3.pmf", "point.pmf"], "--q": ["bern.pmf", "z3.pmf", "point.pmf"],
+    "--pmf": ["bern.pmf", "z3.pmf", "point.pmf", "tiny.pmf"],
+    "--q": ["bern.pmf", "z3.pmf", "point.pmf", "tiny.pmf"],
     "--markov": ["sticky.markov"], "--budgets": ["mixed.budgets"],
     "--partition": ["one.part", "split.part"], "--alpha": ["0.5", "2", "0.5,2"],
     "--rho": ["1", "0.5", "2"], "--n": ["1..3", "2..2"], "--step": ["1", "2"],
@@ -89,6 +91,7 @@ def workdir(tmp_path_factory):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(argv=argvs())
+@example(argv=["mismatch", "--pmf", "bern.pmf", "--q", "tiny.pmf"])  # KL's ratio overflows
 def test_every_call_ends_in_output_or_one_error_line(workdir, argv):
     # any value may land on --out, so the call runs in the test's directory
     out, err = io.StringIO(), io.StringIO()

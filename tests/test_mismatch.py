@@ -123,6 +123,37 @@ class TestDivergenceLimits:
         assert tuple(lim) == (lim.kl, lim.order0, lim.order_inf, lim.probes)
         assert lim[2] == pytest.approx(math.log2(1.4), abs=1e-12)
 
+    def test_order_inf_takes_the_exact_argmax(self):
+        # q's second mass is 5e-13 below its first, so only the first is the
+        # argmax and the limit is log2(0.7 / 0.7); a 1e-12 tolerance on the
+        # argmax gave log2(0.7 / 0.45) = 0.637
+        lim = divergence_limits(Pmf([0.7, 0.2, 0.1]), Pmf([0.45, 0.45 - 5e-13, 0.1 + 5e-13]))
+        assert lim.order_inf == 0.0
+
+    def test_order_inf_past_the_float_range(self):
+        # max p / avg = 1 / 1e-320 overflows; its log2 does not
+        lim = divergence_limits(Pmf([1e-320, 1.0]), Pmf([0.6, 0.4]))
+        assert lim.order_inf == pytest.approx(-math.log2(1e-320), rel=1e-12)
+
+
+def test_every_renyi_sum_is_the_one_power_sum(monkeypatch):
+    """The Renyi entropy, both sums of the Sundaresan divergence and the
+    Renyi divergence's sum are probability._log2_power_sum; mismatch only
+    combines them."""
+    plain, calls = probability._log2_power_sum, []
+
+    def counted(p, a, q, b):
+        calls.append((a, b))
+        return plain(p, a, q, b)
+    for module in (probability, mismatch):
+        monkeypatch.setattr(module, "_log2_power_sum", counted)
+    assert sundaresan_divergence(P_FAIR, Q_SKEW, 0.5) == pytest.approx(DELTA_HALF, abs=1e-12)
+    assert calls == [(0.5, 0.0), (0.5, 0.0), (1.0, -0.5)]
+    calls.clear()
+    renyi_divergence(P_FAIR, Q_SKEW, 2.0)
+    assert calls == [(2.0, -1.0)]
+    assert not hasattr(mismatch, "np") and not hasattr(mismatch, "log2sumexp")
+
 
 class TestProductAdditivity:
     def test_equal_laws(self):

@@ -6,11 +6,13 @@ import pytest
 from taskcodes import (
     AlphabetMismatchError,
     CapExceededError,
+    IidTypes,
     InvalidOrderError,
     LambdaBudget,
     MarkovSource,
     Partition,
     Pmf,
+    TypeLaw,
     iid_joint,
     kl_divergence,
     log2sumexp,
@@ -270,6 +272,21 @@ class TestKlDivergence:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             kl_divergence(Pmf([1.0]), Pmf([0.5, 0.5]))
+
+    def test_ratio_past_the_float_range(self):
+        # 0.5 / 1e-320 overflows, which gave inf and a RuntimeWarning; the value
+        # is 0.5 * log2(0.5) + 0.5 * (log2(0.5) - log2 q_1), about 530.51
+        q = Pmf([1.0, 1e-320])
+        want = -1.0 - 0.5 * math.log2(float(q.masses[1]))
+        assert kl_divergence(Pmf([0.5, 0.5]), q) == pytest.approx(want, rel=1e-12)
+
+    def test_ratio_past_the_float_range_on_types(self):
+        # q^2 holds 2^-1060 exactly; its ratio 2^-2 / 2^-1060 overflows, and the
+        # pair law's divergence is twice the letter's, 2 * (-1/2 + 529/2) = 528
+        types = IidTypes(2, 2)
+        p, q = Pmf([0.5, 0.5]), Pmf([1.0, 2.0 ** -530])
+        assert kl_divergence(TypeLaw(p, types), TypeLaw(q, types)) == pytest.approx(
+            528.0, rel=1e-12)
 
 
 class TestParsing:
