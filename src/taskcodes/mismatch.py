@@ -29,18 +29,10 @@ from .probability import (
     _check_cap,
     _escapes,
     _log2_power_sum,
+    _nonnegative,
     kl_divergence,
     renyi_entropy,
 )
-
-
-def _nonnegative(value: float, alpha: float) -> float:
-    """A divergence, read as 0 when rounding left it in (-1e-12, 0).  No
-    divergence is nan or negative, so a value below that means the sums of
-    order alpha left the float range: OverflowError."""
-    if not value >= -1e-12:
-        raise OverflowError(f"the divergence of order {alpha!r} leaves the float range")
-    return 0.0 if -1e-12 < value < 0.0 else value
 
 
 def sundaresan_divergence(p, q, alpha: float) -> float:

@@ -31,7 +31,7 @@ DEFAULT_TUPLE_CAP = 1 << 22
 # iid_joint sorts tuple letters in blocks of at most about this many
 _CHUNK = 1 << 20
 
-# as_floats converts this many array entries to Python floats at a time
+# grouped_fsum converts this many array entries to Python floats at a time
 _SLICE = 1 << 16
 
 # Inputs whose total mass is further than this from 1 are rejected instead
@@ -53,52 +53,38 @@ def _exact(values: list[float]) -> tuple[list[int], int]:
     return [num * (d // den) for num, den in ratios], d
 
 
-def as_floats(values: np.ndarray):
-    """The entries of a 1-D float array as Python floats, converted a slice
-    at a time, so no list of them all is ever held."""
-    return itertools.chain.from_iterable(
-        values[i:i + _SLICE].tolist() for i in range(0, values.size, _SLICE))
-
-
 def grouped_fsum(values: np.ndarray, counts=None) -> float:
     """The correctly rounded sum of counts[i] copies of values[i], equal to
     math.fsum over the expanded terms (counts=None: one copy each).
 
     Counts are nonnegative ints (an int array, or an object array of Python
-    ints).  With counts below 2^26 the values are scaled by a power of two
-    into [2^-969, 2^995], where each count * value splits into two exact
-    float products that fsum adds, and the sum is scaled back; a sum that
-    lands below the normal range then, or larger counts, are added as
-    exact integers instead.
+    ints).  With every count below 2^26 and every nonzero |value| in
+    [2^-969, 2^995], each count * value splits into two exact float
+    products that fsum adds; any other input is added as exact integers.
+    Floats are made a slice at a time, so no list of them all is held.
     """
     values = np.asarray(values, dtype=float)
-    if counts is None:
-        return math.fsum(as_floats(values))
-    if not np.isfinite(values).all():
-        return math.fsum(as_floats(values))  # an inf or nan decides the sum
-    # the least and the largest magnitude of a nonzero value
+    if counts is None or not np.isfinite(values).all():  # an inf or nan decides the sum
+        return math.fsum(itertools.chain.from_iterable(
+            values[i:i + _SLICE].tolist() for i in range(0, values.size, _SLICE)))
     least = min(np.min(values, where=values > 0.0, initial=math.inf),
                 -np.max(values, where=values < 0.0, initial=-math.inf))
     most = max(np.max(values, initial=0.0), -np.min(values, initial=0.0))
-    shift = max(0, -968 - math.frexp(least)[1]) if least < math.inf else 0
-    if (counts.dtype != object and counts.max(initial=0) < 1 << 26
-            and most <= 2.0 ** (995 - shift)):
+    if counts.max(initial=0) < 1 << 26 and least >= 2.0 ** -969 and most <= 2.0 ** 995:
         split = (counts & (counts - 1)).any()  # else powers of two: c * v is exact
 
         def products():
             for i in range(0, values.size, _SLICE):
-                scaled = np.ldexp(values[i:i + _SLICE], shift)
+                v = values[i:i + _SLICE]
                 c = counts[i:i + _SLICE].astype(float)
                 if split:
-                    high = scaled * _SPLIT
-                    high -= high - scaled
+                    high = v * _SPLIT
+                    high -= high - v
                     yield (c * high).tolist()
-                    scaled -= high
-                yield (c * scaled).tolist()
+                    v = v - high  # not in place: v is a view of the caller's values
+                yield (c * v).tolist()
 
-        total = math.ldexp(math.fsum(itertools.chain.from_iterable(products())), -shift)
-        if shift == 0 or abs(total) >= 2.0 ** -1022:
-            return total
+        return math.fsum(itertools.chain.from_iterable(products()))
     units, d = _exact(values.tolist())
     return sum(c * u for u, c in zip(units, counts.tolist())) / d
 
@@ -564,6 +550,15 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
     return out
 
 
+def _nonnegative(value: float, alpha: float) -> float:
+    """A divergence, read as 0 when rounding left it in (-1e-12, 0).  No
+    divergence is nan or negative, so a value below that means the sums of
+    order alpha left the float range: OverflowError."""
+    if not value >= -1e-12:
+        raise OverflowError(f"the divergence of order {alpha!r} leaves the float range")
+    return 0.0 if -1e-12 < value < 0.0 else value
+
+
 def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence D(p||q) in bits; +inf when supp(p) is not
     contained in supp(q).  Accepts two Pmfs, or two TypeLaws on the same
@@ -578,7 +573,7 @@ def kl_divergence(p, q) -> float:
     far = logs == math.inf  # P/Q past the float range: log2 P - log2 Q instead
     logs[far] = p.log_masses[supp][far] - q.log_masses[supp][far]
     counts = None if p.multiplicity is None else p.multiplicity[supp]
-    return grouped_fsum(pm * logs, counts)
+    return _nonnegative(grouped_fsum(pm * logs, counts), 1.0)
 
 
 def _data_lines(text: str):

@@ -320,6 +320,23 @@ class TestMismatch:
                                  "--q", str(files["bern01"]), "--alpha", "0.5"])
         assert (code, out) == (0, "alpha,delta,renyi_div,kl\n0.5,0,0,0\n")
 
+    def test_near_equal_laws_print_no_negative_kl(self, capsys, files):
+        # rounding left the KL sum at -1.5e-16 and -2.1e-322 on these pairs
+        laws = [("0.38992542982971645 0.103454531700452 0.26457420817144006 "
+                 "0.09860962788354133 0.14343620241485006",
+                 "0.3899254298297163 0.10345453170045216 0.26457420817144006 "
+                 "0.09860962788354143 0.14343620241485008"),
+                ("1 2.5e-323", "1 1e-320")]
+        for i, (p, q) in enumerate(laws):
+            paths = [files["tmp"] / f"near{i}{side}.pmf" for side in "pq"]
+            for path, masses in zip(paths, (p, q)):
+                path.write_text(masses.replace(" ", "\n") + "\n")
+            code, out = run(capsys, ["mismatch", "--pmf", str(paths[0]), "--q", str(paths[1]),
+                                     "--alpha", "0.5,2"])
+            assert code == 0
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert rows and not any(row["kl"].startswith("-") for row in rows)
+
     def test_fair_vs_skew_value(self, capsys, files):
         code, out = run(capsys, ["mismatch", "--pmf", str(files["fair"]),
                                  "--q", str(files["bern01"]), "--alpha", "0.5"])

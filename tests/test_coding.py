@@ -10,11 +10,13 @@ from taskcodes import (
     AlphabetMismatchError,
     AlphabetTooLargeError,
     DescriptionCountTooSmallError,
+    IidTypes,
     InvalidOrderError,
     MarkovSource,
     Partition,
     Pmf,
     RateTooSmallError,
+    TypeLaw,
     block_experiment,
     brute_force_optimum,
     build_encoder,
@@ -79,6 +81,18 @@ class TestBuildEncoder:
             m = math.ceil(math.log2(size)) + 3
             part = build_encoder(p, 1.0, m)
             assert part.num_blocks <= m
+
+    def test_more_preimages_than_m_are_refused(self, monkeypatch):
+        # law-derived budgets never give more than M blocks; both encoders check
+        m = 6
+        monkeypatch.setattr(coding, "build_partition",
+                            lambda budget: Partition.from_labels(np.arange(m + 1)))
+        with pytest.raises(ValueError, match="^7 preimages exceed M = 6$"):
+            build_encoder(Pmf([1 / 7] * 7), 1.0, m)
+        monkeypatch.setattr(coding, "greedy_blocks", lambda *args: [(m + 1, 1)])
+        law = TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3))
+        with pytest.raises(ValueError, match="^7 preimages exceed M = 6$"):
+            coding._type_encoder(law, law, 1.0, m)
 
 
 class TestMoment:

@@ -99,6 +99,10 @@ class TestDivergenceLimits:
         lim = divergence_limits(Pmf([0.5, 0.5, 0.0, 0.0]), Pmf([0.25] * 4))
         assert lim.order0 == pytest.approx(1.0, abs=1e-12)
 
+    def test_order_inf_when_p_vanishes_on_the_argmax_of_q(self):
+        lim = divergence_limits(Pmf([0.0, 1.0]), Pmf([0.6, 0.4]))
+        assert lim.order_inf == math.inf
+
     def test_argmax_set_limit(self):
         lim = divergence_limits(Pmf([0.7, 0.3]), Pmf([0.5, 0.5]))
         assert lim.order_inf == pytest.approx(math.log2(1.4), abs=1e-12)

@@ -23,6 +23,7 @@ from taskcodes.cli import main
 from taskcodes.coding import _description_count, _row, _type_encoder
 from taskcodes.errors import RateTooSmallError
 from taskcodes.mismatch import product_additivity_check, sundaresan_divergence
+from taskcodes import probability
 from taskcodes.probability import IidTypes, TypeLaw, grouped_fsum
 from conftest import random_pmf, rng
 
@@ -264,10 +265,23 @@ def test_iid_joint_gives_each_tuple_its_canonical_type_mass(masses, n):
         assert law.masses.tolist() == (raw / math.fsum(raw.tolist())).tolist()
 
 
+# the edges between grouped_fsum's two paths: the float products take every
+# nonzero |value| in [2^-969, 2^995] with every count below 2^26
+TINY, HUGE = 2.0 ** -969, 2.0 ** 995
+BELOW_TINY, ABOVE_HUGE = math.nextafter(TINY, 0.0), math.nextafter(HUGE, math.inf)
+
+
 @settings(deadline=None)
 @given(st.lists(st.tuples(
     st.one_of(st.floats(-1e290, 1e290), st.floats(0, 1e-300), st.floats(-1e-290, 1e-300)),
     st.one_of(st.integers(0, 9), st.integers(0, 10 ** 12))), min_size=1, max_size=12))
+@example([(TINY, 3), (-1.75 * TINY, 5), (1.1 * 2.0 ** -960, 7)])
+@example([(BELOW_TINY, 3), (-1.75 * TINY, 5), (1.1 * 2.0 ** -960, 7)])
+@example([(HUGE, 3), (-1.5 * 2.0 ** 990, 5), (0.1, 7)])
+@example([(ABOVE_HUGE, 3), (-1.5 * 2.0 ** 990, 5), (0.1, 7)])
+@example([(0.1, 2 ** 26 - 1), (-0.3, 3), (1e-17, 5)])
+@example([(0.1, 2 ** 26), (-0.3, 3), (1e-17, 5)])
+@example([(0.1, 12345), (0.7, 3), (-1e-20, 2 ** 25)])  # its object counts take float products
 def test_grouped_fsum_is_fsum_over_the_copies(pairs):
     values = np.array([v for v, _ in pairs])
     counts = np.array([c for _, c in pairs])
@@ -279,6 +293,19 @@ def test_grouped_fsum_is_fsum_over_the_copies(pairs):
     assert grouped_fsum(values, counts.astype(object)) == want
     if counts.sum() < 100:
         assert got == math.fsum(np.repeat(values, counts).tolist())
+
+
+@pytest.mark.parametrize("values,counts,exact", [
+    ([TINY, 1.0], [3, 5], False), ([BELOW_TINY, 1.0], [3, 5], True),
+    ([HUGE, -1.0], [3, 5], False), ([ABOVE_HUGE, -1.0], [3, 5], True),
+    ([0.1, 0.3], [2 ** 26 - 1, 3], False), ([0.1, 0.3], [2 ** 26, 3], True)])
+def test_grouped_fsum_path_follows_the_values_not_the_dtype(monkeypatch, values, counts, exact):
+    exact_calls = []
+    real = probability._exact
+    monkeypatch.setattr(probability, "_exact", lambda v: exact_calls.append(v) or real(v))
+    for dtype in (np.int64, object):
+        grouped_fsum(np.array(values), np.array(counts, dtype=dtype))
+    assert len(exact_calls) == (2 if exact else 0)
 
 
 def test_an_iid_row_never_enumerates(monkeypatch, tmp_path, capsys):
