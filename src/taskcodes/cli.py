@@ -139,13 +139,15 @@ def cmd_entropy(args) -> list[str]:
                 lines.append(f"{fmt(alpha)},{fmt(renyi_entropy(p, alpha))}")
     else:
         src = _load(args.markov, read_markov_text)
-        if args.alpha is None or args.n is None:
-            raise UsageError("entropy --markov needs --alpha and --n")
-        if len(args.alpha) != 1:
-            raise UsageError("entropy --markov takes a single --alpha")
+        if args.n is None:
+            raise UsageError("entropy --markov needs --n")
+        orders = args.alpha if args.rho is None else args.rho
+        if len(orders) != 1:
+            raise UsageError("entropy --markov takes a single --alpha or --rho")
+        alpha = orders[0] if args.rho is None else _rho_order(orders[0])
         ns = args.n[::args.step]
         lines.append("n,entropy_rate_bits")
-        for n, h in zip(ns, markov_renyi_sums(src, args.alpha[0], ns)):
+        for n, h in zip(ns, markov_renyi_sums(src, alpha, ns)):
             lines.append(f"{n},{fmt(h / n)}")
     return lines
 

@@ -523,23 +523,83 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
     """H_alpha(X^n) for a Markov chain at each n of ns, a positive and
     nondecreasing sequence, from one pass of the O(n * states^2) vector
     recursion v1(x) = initial(x)^alpha, v_{k+1}(x') = sum_x v_k(x) T(x,x')^alpha
-    up to the last n.
-
-    Runs entirely in the log domain, so large n cannot underflow; a row that
-    a huge order takes past the float range raises OverflowError.  Each time
-    step is one _log2sumexp_rows call: row x' of step_t + lv holds log2 of
-    the terms v_k(x) T(x,x')^alpha, a zero transition's as -inf, and only
-    the finite terms are summed, as log2sumexp does for one state.
-    """
+    up to the last n: _linear_sums' value where it is certified, else
+    _log_domain_sums' (restarted at n = 1); each depends on (src, alpha, n)."""
     _check_alpha(alpha)
+    if any(n < m for m, n in zip(itertools.chain([1], ns), ns)):
+        raise ValueError("block lengths must be positive and nondecreasing")
+    out = list(itertools.zip_longest(ns, _linear_sums(src, alpha, ns)))
+    logs = iter(_log_domain_sums(src, alpha, [n for n, h in out if h is None]))
+    return [next(logs) if h is None else h for _, h in out]
+
+
+def _scaled(logs: np.ndarray) -> tuple[float, float, np.ndarray] | None:
+    """(top, spread, exp2(logs - top)), top and top - spread the largest and
+    least finite entries, or None where spread > 300: an entry below the
+    float range would be 0 and could overtake the others at large n."""
+    finite = logs[np.isfinite(logs)]
+    if not finite.size or finite.min() < finite.max() - 300:
+        return None
+    top = float(finite.max())
+    return top, top - float(finite.min()), np.exp2(logs - top)
+
+
+def _linear_sums(src: MarkovSource, alpha: float, ns):
+    """Yield the recursion's value at each n of ns, None where it is not
+    certified, until a step or a value is not certified or not finite.
+
+    The weights w, sum v_n = 2^(start + (n-1) top + exponent) sum w, start
+    at exp2(alpha log2 initial - start) and step to w A, A = exp2(alpha
+    log2 T - top), summed in increasing x (einsum: BLAS picks its order by
+    CPU); an exact power of two rescales w when its top leaves
+    [2^-301, 2^300).  With every positive weight within 2^-300 of the
+    largest, a product w(x) A(x,x') is 0 or a float of at least 2^-901,
+    which rounds relatively and keeps every term the log domain keeps.  A
+    value is certified when a first-order bound on its rounding is below
+    2^-40 of log2 sum v_n, which fails where rounding decides the sum (a
+    nearly deterministic chain, an order next to 1)."""
+    with np.errstate(over="ignore"):  # a huge order overflows terms to -inf
+        first, step = _scaled(alpha * src.initial.log_masses), _scaled(alpha * src.log_transitions)
+    if first is None or step is None:
+        return
+    (start, spread0, w), (top, spread, a) = first, step
+    exponent, k = 0, 1
+    for n in ns:
+        for _ in range(n - k):
+            w = np.einsum("i,ij->j", w, a)
+            most = np.maximum.reduce(w)
+            if np.count_nonzero(w >= math.ldexp(most, -300)) != np.count_nonzero(w):
+                return
+            shift = math.frexp(most)[1]
+            if abs(shift) > 300:
+                w *= 2.0 ** -shift
+                exponent += shift
+        k = n
+        if not math.isfinite(start + (n - 1) * top):  # else fsum could overflow
+            return
+        log_sum = math.log2(math.fsum(w.tolist()))
+        total = math.fsum((start, (n - 1) * top, exponent, log_sum))
+        h = total / (1.0 - alpha)
+        if not math.isfinite(h):
+            return
+        # in units of 2^-53: 2 ulp of exp2 and spread units of its argument
+        # per entry of w1 and A, w.size per step's sums, 1 for fsum(w),
+        # 1/ln 2 < 1.5 into log2, and one rounding of each other term
+        err = (1.5 * (5 + spread0 + (n - 1) * (4 + spread + w.size)) + 2 * abs(log_sum)
+               + abs((n - 1) * top) + abs(total))
+        yield h if err * 2.0 ** -53 <= abs(total) * 2.0 ** -40 else None
+
+
+def _log_domain_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
+    """markov_renyi_sums in the log domain, one _log2sumexp_rows call a step
+    (row x' of step_t + lv holds log2 of the terms v_k(x) T(x,x')^alpha); a
+    sum past the float range raises OverflowError."""
     out = []
     k = 1
     with np.errstate(over="ignore"):  # a huge order overflows terms to -inf
         lv = alpha * src.initial.log_masses
         step_t = np.ascontiguousarray((alpha * src.log_transitions).T)
         for n in ns:
-            if n < k:
-                raise ValueError("block lengths must be positive and nondecreasing")
             for _ in range(n - k):
                 lv = _log2sumexp_rows(step_t + lv)
             k = n

@@ -68,6 +68,9 @@ README_EXAMPLES = {
         "0.125078519254\n",
     "mismatch --pmf fair.pmf --q bern.pmf --alpha 0.5":
         "alpha,delta,renyi_div,kl\n0.5,0.415037499279,0.321928094887,0.736965594166\n",
+    # a 200-bit evaluation gives 0.678393833207525...
+    "entropy --markov sticky.markov --rho 1 --n 1000..1000":
+        "n,entropy_rate_bits\n1000,0.678393833208\n",
 }
 
 
@@ -111,6 +114,12 @@ class TestEntropy:
         rates = [float(v) for _, v in rows]
         # normalized entropies decrease toward the sticky chain's rate
         assert all(a >= b - 1e-12 for a, b in zip(rates[1:], rates[2:]))
+
+    def test_markov_rates_at_rho_are_those_at_its_order(self, capsys, files):
+        argv = ["entropy", "--markov", str(files["markov"]), "--n", "1..3"]
+        code, out = run(capsys, argv + ["--alpha", "0.5"])
+        assert (code, len(out.splitlines())) == (0, 4)
+        assert run(capsys, argv + ["--rho", "1"]) == (code, out)
 
     @pytest.mark.parametrize("rho", ["-1", "-0.5", "0"])
     def test_nonpositive_rho_exit_2(self, capsys, files, rho):
@@ -585,10 +594,17 @@ class TestInputErrors:
                                ",1,1.56151441196e-35,1,3.55553514249e+140,0.00383877159309\n")
 
     def test_markov_entropy_needs_n(self, capsys, files):
-        code, err = run_error(capsys, fill(files, ["entropy", "--markov", "markov",
-                                                   "--alpha", "0.5"]))
+        for order in (["--alpha", "0.5"], ["--rho", "1"]):
+            code, err = run_error(capsys, fill(files, ["entropy", "--markov", "markov", *order]))
+            assert code == 1
+            assert err == "error: entropy --markov needs --n\n"
+
+    @pytest.mark.parametrize("order", [["--alpha", "0.5,2"], ["--rho", "1,2"]])
+    def test_markov_entropy_takes_one_order(self, capsys, files, order):
+        code, err = run_error(capsys, fill(files, ["entropy", "--markov", "markov", *order,
+                                                   "--n", "1..3"]))
         assert code == 1
-        assert err == "error: entropy --markov needs --alpha and --n\n"
+        assert err == "error: entropy --markov takes a single --alpha or --rho\n"
 
 
 class TestOrders:
@@ -787,6 +803,7 @@ def test_readme_example_bytes(capsys, tmp_path, monkeypatch, command):
     (tmp_path / "bern.pmf").write_text("0.9\n0.1\n")
     (tmp_path / "u4.pmf").write_text("0.25\n0.25\n0.25\n0.25\n")
     (tmp_path / "fair.pmf").write_text("0.5\n0.5\n")
+    (tmp_path / "sticky.markov").write_text("2\n0.5 0.5\n0.9 0.1\n0.1 0.9\n")
     assert run(capsys, command.split()) == (0, README_EXAMPLES[command])
 
 

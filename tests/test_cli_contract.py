@@ -29,6 +29,7 @@ CALLS = [
     ["entropy", "--pmf", "--alpha", "--out"],
     ["entropy", "--pmf", "--rho", "--out"],
     ["entropy", "--markov", "--alpha", "--n", "--step"],
+    ["entropy", "--markov", "--rho", "--n", "--step"],
     ["construct", "--pmf", "--M", "--rho"],
     ["construct", "--budgets"],
     ["moment", "--pmf", "--partition", "--rho"],

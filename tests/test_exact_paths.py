@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,14 +28,57 @@ from taskcodes import probability
 from taskcodes.probability import _log2sumexp_rows
 
 
-def markov_renyi_sum_reference(src: MarkovSource, alpha: float, n: int) -> float:
-    with np.errstate(divide="ignore"):
-        log_t = np.log2(src.transitions)
+def markov_renyi_sum_log_reference(src: MarkovSource, alpha: float, n: int) -> float:
+    """The recursion in the log domain, one state at a time."""
     lv = alpha * src.initial.log_masses
-    step = alpha * log_t
+    step = alpha * src.log_transitions
     for _ in range(n - 1):
         lv = np.array([log2sumexp(lv + step[:, j]) for j in range(src.initial.size)])
     return log2sumexp(lv) / (1.0 - alpha)
+
+
+def markov_renyi_sum_reference(src: MarkovSource, alpha: float, n: int) -> float:
+    """The recursion on weights, one product at a time, with the same
+    certificates; the log-domain loop where they do not hold."""
+    def scaled(logs):
+        finite = [v for v in logs.ravel().tolist() if math.isfinite(v)]
+        if not finite or min(finite) < max(finite) - 300:
+            return None
+        return max(finite), max(finite) - min(finite), np.exp2(logs - max(finite)).tolist()
+
+    with np.errstate(over="ignore"):
+        first, step = scaled(alpha * src.initial.log_masses), scaled(alpha * src.log_transitions)
+    if first is None or step is None:
+        return markov_renyi_sum_log_reference(src, alpha, n)
+    (start, spread0, w), (top, spread, a) = first, step
+    exponent = 0
+    for _ in range(n - 1):
+        products = []
+        for y in range(len(w)):
+            acc = 0.0
+            for x in range(len(w)):
+                acc += w[x] * a[x][y]
+            products.append(acc)
+        w = products
+        most = max(w)
+        if any(0.0 < v < most * 2.0 ** -300 for v in w):
+            return markov_renyi_sum_log_reference(src, alpha, n)
+        shift = math.frexp(most)[1]
+        if abs(shift) > 300:
+            w = [math.ldexp(v, -shift) for v in w]
+            exponent += shift
+    log_sum = math.log2(math.fsum(w))
+    try:
+        total = math.fsum((start, (n - 1) * top, exponent, log_sum))
+    except OverflowError:
+        return markov_renyi_sum_log_reference(src, alpha, n)
+    # the first-order rounding bound, in units of 2^-53
+    err = (1.5 * (5 + spread0 + (n - 1) * (4 + spread + len(w))) + 2 * abs(log_sum)
+           + abs((n - 1) * top) + abs(total))
+    h = total / (1.0 - alpha)
+    if not math.isfinite(h) or err * 2.0 ** -53 > abs(total) * 2.0 ** -40:
+        return markov_renyi_sum_log_reference(src, alpha, n)
+    return h
 
 
 def _growth_strings(n: int, max_blocks: int):
@@ -162,6 +206,44 @@ def test_log2sumexp_without_counts_keeps_only_finite_entries():
     assert _log2sumexp_rows(np.empty((0, 3))).tolist() == []
 
 
+def random_chain(k: int, zero_share: float) -> MarkovSource:
+    """k states; each row has zero_share zero transitions on average, and a 1.0 weight."""
+    r = random.Random(f"markov-{k}:{zero_share}")
+
+    def row():
+        w = [0.0 if r.random() < zero_share else r.uniform(0.1, 1.0) for _ in range(k)]
+        w[r.randrange(k)] = 1.0
+        return normalized(w)
+
+    return chain(row(), [row() for _ in range(k)])
+
+
+@st.composite
+def exact_chains(draw) -> MarkovSource:
+    """Up to 5 states, with zero transitions and transitions of 1e-40."""
+    k = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0.0), st.just(1e-40), st.floats(0.05, 1.0))
+    rows = [normalized(draw(st.lists(entry, min_size=k, max_size=k)
+                            .filter(lambda w: sum(w) > 1e-30))) for _ in range(k)]
+    return MarkovSource(Pmf(normalized(draw(weights(k)))), np.array(rows))
+
+
+def log2_fraction(q: Fraction) -> float:
+    """log2 q for a positive rational, to about an ulp: the power of two
+    is split off first, so no large logarithms cancel."""
+    shift = q.numerator.bit_length() - q.denominator.bit_length()
+    return shift + math.log2(q / Fraction(2) ** shift)
+
+
+def count_log_domain_rows(monkeypatch) -> list:
+    """A list that gains an entry at each _log2sumexp_rows call."""
+    calls = []
+    rows = probability._log2sumexp_rows
+    monkeypatch.setattr(probability, "_log2sumexp_rows",
+                        lambda a: calls.append(1) or rows(a))
+    return calls
+
+
 ALPHAS = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 5.0), st.sampled_from([0.5, 2.0]))
 
 
@@ -184,33 +266,64 @@ class TestMarkovRenyiSum:
     @pytest.mark.parametrize("zero_share", [0.0, 0.3])
     @pytest.mark.parametrize("alpha", [0.5, 1.7])
     def test_matches_per_state_loop_at_64_states(self, zero_share, alpha):
-        r = random.Random(f"markov-64:{zero_share}")
-
-        def row():
-            w = [0.0 if r.random() < zero_share else r.uniform(0.1, 1.0) for _ in range(64)]
-            w[r.randrange(64)] = 1.0
-            return normalized(w)
-
-        src = chain(row(), [row() for _ in range(64)])
+        src = random_chain(64, zero_share)
         assert markov_renyi_sums(src, alpha, [60])[0] == markov_renyi_sum_reference(src, alpha, 60)
 
     # sorted lists repeat some n, and start above 1 or at it
     @given(chains(), ALPHAS, st.lists(st.integers(1, 30), min_size=1, max_size=6).map(sorted))
     @example(chain([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]]), 0.5, list(range(1, 31)))
+    # a transient state that falls 2^-1.5 further behind the other at each
+    # step: n = 200 is certified, n = 201 is not
+    @example(chain([0.5, 0.5], [[0.125, 0.875], [0.0, 1.0]]), 0.5, [1, 100, 200, 201])
     def test_one_pass_rows_match_separate_calls(self, src, alpha, ns):
         assert markov_renyi_sums(src, alpha, ns) == [markov_renyi_sums(src, alpha, [n])[0] for n in ns]
 
-    def test_no_row_is_summed_on_its_own(self, monkeypatch):
-        # each time step reduces all rows in one call; log2sumexp runs only
-        # for the final sum of each requested n, zero transitions or not
-        calls = []
-        counted = probability.log2sumexp
-        monkeypatch.setattr(probability, "log2sumexp",
-                            lambda *args: calls.append(1) or counted(*args))
-        src = chain([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [1.0, 0.0, 0.0]])
-        rows = markov_renyi_sums(src, 0.5, [1, 4, 9])
-        assert len(calls) == 3
-        assert rows == [markov_renyi_sum_reference(src, 0.5, n) for n in [1, 4, 9]]
+    @given(exact_chains(), st.sampled_from([2, 3]), st.integers(1, 40))
+    @example(chain([0.5, 0.5], [[1.0 - 1e-40, 1e-40], [0.5, 0.5]]), 3, 40)  # 3 log2 1e-40 < -300
+    @example(chain([0.5, 0.5], [[0.125, 0.875], [0.0, 1.0]]), 3, 40)  # 2^-9 behind per step
+    def test_matches_exact_rationals(self, src, alpha, n):
+        # float masses are dyadic rationals, so T^alpha and v_n are exact
+        powers = [[Fraction(t) ** alpha for t in row] for row in src.transitions.tolist()]
+        v = [Fraction(p) ** alpha for p in src.initial.masses.tolist()]
+        for _ in range(n - 1):
+            v = [sum(v[x] * powers[x][y] for x in range(len(v))) for y in range(len(v))]
+        exact = log2_fraction(sum(v)) / (1 - alpha)
+        got = markov_renyi_sums(src, float(alpha), [n])[0]
+        assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("src,ns", [
+        (chain([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [1.0, 0.0, 0.0]]), [1, 4, 9]),
+        (random_chain(64, 0.3), [1000]),
+        # the transient state is 2^-298.5 behind at n = 200, inside the window
+        (chain([0.5, 0.5], [[0.125, 0.875], [0.0, 1.0]]), [200]),
+    ], ids=["3-states", "64-states-sparse", "transient"])
+    def test_certified_chains_take_no_log_domain_step(self, monkeypatch, src, ns):
+        calls = count_log_domain_rows(monkeypatch)
+        rows = markov_renyi_sums(src, 0.5, ns)
+        assert calls == []
+        if src.initial.size < 64:  # the per-element reference takes seconds at 64 states
+            assert rows == [markov_renyi_sum_reference(src, 0.5, n) for n in ns]
+
+    @pytest.mark.parametrize("src,alpha,ns,rate", [
+        # the third state enters at 2^-3986 (T^4 is below the float range)
+        # and overtakes the decaying pair near n = 1330: rounding that entry
+        # of A to 0 gives a rate of 1.0
+        (chain([0.5, 0.5, 0.0], [[0.5, 0.5, 1e-300], [0.5, 0.5, 1e-300], [0.0, 0.0, 1.0]]),
+         4.0, [2000], 0.66485351146),
+        (chain([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]]), 1e300, [1, 2, 3], 0.43466872896),
+        # nearly deterministic: the rate is decided by the last bits of A's
+        # entries next to 1, and the weights would give it to 3.7e-8 only
+        (chain([1.0, 0.0], [[1.0 - 2.0 ** -33, 2.0 ** -33], [2.0 ** -131, 1.0]]), 0.9, [1000],
+         1.50152292253e-08),
+        # at n = 201 the transient state is 2^-300 behind: outside the window
+        (chain([0.5, 0.5], [[0.125, 0.875], [0.0, 1.0]]), 0.5, [201], 0.00787084246),
+    ], ids=["entry-below-float-range", "huge-order", "rate-in-the-last-bits", "transient"])
+    def test_uncertified_chains_take_the_log_domain(self, monkeypatch, src, alpha, ns, rate):
+        want = probability._log_domain_sums(src, alpha, ns)
+        calls = count_log_domain_rows(monkeypatch)
+        assert markov_renyi_sums(src, alpha, ns) == want
+        assert calls
+        assert want[-1] / ns[-1] == pytest.approx(rate, rel=1e-9)
 
     @pytest.mark.parametrize("ns", [[0], [2, 1], [3, 5, 4]])
     def test_one_pass_needs_positive_nondecreasing_ns(self, ns):
