@@ -81,7 +81,7 @@ class MomentReport(NamedTuple):
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of an array, and the index of each entry
     among them.  (By hand: np.unique gives the same values and ranks, but
-    flattens a copy of its input, 32 MB more peak memory at 2^22 budgets.)"""
+    flattens a copy of its input, 32 MB more peak memory at 2^22 entries.)"""
     order = np.argsort(values)
     ordered = values[order]
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
@@ -105,22 +105,21 @@ def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
             f"need M > log2|X| + 2 = {threshold:.6g}, got M = {m}"
         )
     beta = 2.0 * grouped_fsum(p.masses ** rt, p.multiplicity) / (m - threshold)
+    masses, index = _distinct(p.masses)  # a budget depends on x only through P(x)
     # np.power can differ from the scalar power in the last bit, and the
     # ceil can turn that bit into another budget: a budget within 2^-40 of
     # itself from an integer, or not finite, takes the scalar power.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        budgets = p.masses ** -rt
+        budgets = masses ** -rt
         budgets *= beta  # an inf budget is refused below
         near = np.flatnonzero(~(np.abs(budgets - np.rint(budgets)) > budgets * 2.0 ** -40))
-    if near.size:  # once per distinct mass
-        masses, index = _distinct(p.masses[near])
-        budgets[near] = np.array([math.inf if mass <= 0.0 else mass ** (-rt) * beta
-                                  for mass in masses.tolist()])[index]
+    budgets[near] = [math.inf if mass <= 0.0 else mass ** (-rt) * beta
+                     for mass in masses[near].tolist()]
     np.maximum(np.ceil(budgets, out=budgets), 1.0, out=budgets)  # integers, as floats
-    if np.isinf(budgets[p.masses > 0.0]).any():
+    if np.isinf(budgets[masses > 0.0]).any():
         raise OverflowError("cannot convert float infinity to integer")
-    values, index = _distinct(budgets)
-    return LambdaBudget([b if b == math.inf else int(b) for b in values.tolist()], index)
+    values, codes = _distinct(budgets)
+    return LambdaBudget([b if b == math.inf else int(b) for b in values.tolist()], codes[index])
 
 
 def build_encoder(p: Pmf, rho: float, m: int) -> Partition:
@@ -142,15 +141,17 @@ def moment(p: Pmf, part: Partition, rho: float) -> float:
         raise AlphabetMismatchError(
             f"pmf over {p.size} symbols vs encoder over {part.ground_size}"
         )
-    # one power per block; past the float range it is inf, and a zero
-    # mass's term 0 * inf (nan) is then set to 0 * L^rho = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = part.sizes.astype(float) ** rho
-        terms = powers[part.labels]
-        terms *= p.masses
-    if math.isinf(powers.max()):
-        terms[p.masses == 0.0] = 0.0
-    return grouped_fsum(terms)
+    return _moment_sum(p.masses, part.sizes[part.labels], rho)
+
+
+def _moment_sum(masses: np.ndarray, sizes: np.ndarray, rho: float, counts=None) -> float:
+    """grouped_fsum of counts * L^rho * P over entries of block size L and
+    mass P (one each without counts); a zero mass adds 0, even at L^rho = inf."""
+    positive = masses > 0.0
+    with np.errstate(over="ignore"):
+        terms = np.power(sizes[positive], rho, dtype=float)
+    terms *= masses[positive]
+    return grouped_fsum(terms, None if counts is None else counts[positive])
 
 
 def lower_bound(p, m: int, rho: float) -> float:
@@ -381,11 +382,7 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
             sizes.append(np.full(members[-1].size, float(blocks[i][1])))
             before = upto
     members, counts, sizes = map(np.concatenate, (members, counts, sizes))
-    masses = law.masses[members]
-    positive = masses > 0.0  # a zero mass adds 0, also next to an inf power
-    with np.errstate(over="ignore"):
-        terms = np.power(sizes[positive], rho) * masses[positive]
-    return used, grouped_fsum(terms, counts[positive])
+    return used, _moment_sum(law.masses[members], sizes, rho, counts)
 
 
 def _check_underflow(p: Pmf, law: TypeLaw, rho: float) -> None:

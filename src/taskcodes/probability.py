@@ -580,8 +580,6 @@ def _linear_sums(src: MarkovSource, alpha: float, ns):
         log_sum = math.log2(math.fsum(w.tolist()))
         total = math.fsum((start, (n - 1) * top, exponent, log_sum))
         h = total / (1.0 - alpha)
-        if not math.isfinite(h):
-            return
         # in units of 2^-53: 2 ulp of exp2 and spread units of its argument
         # per entry of w1 and A, w.size per step's sums, 1 for fsum(w),
         # 1/ln 2 < 1.5 into log2, and one rounding of each other term

@@ -12,12 +12,14 @@ from hypothesis import example, given, strategies as st
 
 from taskcodes import (
     LambdaBudget,
+    MarkovSource,
     Partition,
     Pmf,
     build_partition,
     floor_pow2,
     iid_joint,
     lambda_from_law,
+    markov_joint,
 )
 
 
@@ -130,13 +132,25 @@ SWEEP_LAWS = [
     ([0.25] * 4, Fraction("1.9"), range(1, 7)),
 ]
 
+# enumerated Markov laws, whose tuples share few distinct masses: chains
+# with two or three distinct transition values, one with zero transitions
+MARKOV_LAWS = [
+    (MarkovSource(Pmf([0.5, 0.5]), [[0.9, 0.1], [0.1, 0.9]]), Fraction("0.9"), range(1, 14)),
+    (MarkovSource(Pmf([0.2, 0.3, 0.5]), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+     Fraction("1.4"), range(1, 9)),
+    (MarkovSource(Pmf([1 / 3] * 3), [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]),
+     Fraction("1.4"), range(1, 9)),
+]
 
-@pytest.mark.parametrize("masses,rate,ns", SWEEP_LAWS)
+
+@pytest.mark.parametrize("masses,rate,ns", SWEEP_LAWS + MARKOV_LAWS)
 @pytest.mark.parametrize("rho", [0.25, 1.0, 3.0])
 def test_lambda_from_law_matches_scalar_formula(masses, rate, ns, rho):
+    """`masses` is a single letter's law, or a Markov chain."""
     checked = 0
     for n in ns:
-        p = iid_joint(Pmf(masses), n)
+        p = (markov_joint(masses, n) if isinstance(masses, MarkovSource)
+             else iid_joint(Pmf(masses), n))
         threshold = math.log2(p.size) + 2.0
         for m in (math.floor(threshold) + 1, floor_pow2(rate * n)):
             if m > threshold:

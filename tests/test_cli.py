@@ -50,7 +50,7 @@ README_MISMATCHED_SWEEP = (
 )
 
 # stdout of the README's other examples, in its working directory (bern.pmf,
-# u4.pmf and fair.pmf as the README writes them)
+# u4.pmf, fair.pmf and sticky.markov as the README writes them)
 README_EXAMPLES = {
     "entropy --pmf bern.pmf --alpha 0.5":
         "alpha,entropy_bits\n0.5,0.678071905113\n",
@@ -71,6 +71,22 @@ README_EXAMPLES = {
     # a 200-bit evaluation gives 0.678393833207525...
     "entropy --markov sticky.markov --rho 1 --n 1000..1000":
         "n,entropy_rate_bits\n1000,0.678393833208\n",
+    # above that rate the moment falls to 1, below it the moment grows
+    "sweep --markov sticky.markov --rate 1.5 --rho 1 --n 4..16 --step 4":
+        "n,R,rho,M,N,moment,lower,upper,m_tilde,delta\n"
+        "4,1.5,1,64,12,1.028,0.128,1.56496551724,14.5,0.535504751218\n"
+        "8,1.5,1,4096,222,1.0002001,0.0131072,1.05255711326,1021.5,0.250440813908\n"
+        "12,1.5,1,262144,3757,1.00000273729,0.00134217728,1.00536899586,65532.5,"
+        "0.166673087524\n"
+        "16,1.5,1,16777216,59434,1.00000020741,0.000137438953472,1.0005497564,"
+        "4194299.5,0.12500009674\n",
+    "sweep --markov sticky.markov --rate 0.6 --rho 1 --n 8..20 --step 4":
+        "n,R,rho,M,N,moment,lower,upper,m_tilde,delta\n"
+        "8,0.6,1,27,11,6.1672252,1.98841078519,13.6322567529,4.25,0.339067144844\n"
+        "12,0.6,1,147,65,5.79895138427,2.39349469992,11.5817660418,33.25,0.178726463708\n"
+        "16,0.6,1,776,361,6.63653397111,2.97144717682,13.1680369879,189.5,0.127121622614\n"
+        "20,0.6,1,4096,1927,8.03168702384,3.68934881474,15.8370866423,1018.5,"
+        "0.100388486752\n",
 }
 
 
@@ -517,6 +533,12 @@ class TestModes:
         code, err = run_error(capsys, fill(files, argv))
         assert code == 1
         assert err == f"error: one of the arguments {group} is required\n"
+
+    @pytest.mark.parametrize("flags", [["--M", "5"], ["--rho", "1"]])
+    def test_construct_pmf_needs_m_and_rho(self, capsys, files, flags):
+        code, err = run_error(capsys, fill(files, ["construct", "--pmf", "uniform4", *flags]))
+        assert code == 1
+        assert err == "error: construct --pmf needs --M and --rho\n"
 
     @pytest.mark.parametrize("command", ["", "entropy", "construct", "moment", "oracle",
                                          "sweep", "mismatch"])
