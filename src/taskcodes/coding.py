@@ -118,8 +118,7 @@ def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
     np.maximum(np.ceil(budgets, out=budgets), 1.0, out=budgets)  # integers, as floats
     if np.isinf(budgets[masses > 0.0]).any():
         raise OverflowError("cannot convert float infinity to integer")
-    values, codes = _distinct(budgets)
-    return LambdaBudget([b if b == math.inf else int(b) for b in values.tolist()], codes[index])
+    return LambdaBudget([b if b == math.inf else int(b) for b in budgets.tolist()], index)
 
 
 def build_encoder(p: Pmf, rho: float, m: int) -> Partition:

@@ -284,9 +284,14 @@ def renyi_entropy(dist, alpha: float) -> float:
     raises OverflowError; a term that alone overflows to -inf is left out.
     """
     _check_alpha(alpha)
-    h = _log2_power_sum(dist, alpha, dist, 0.0) / (1.0 - alpha)
+    return _renyi(_log2_power_sum(dist, alpha, dist, 0.0), alpha)
+
+
+def _renyi(log_sum: float, alpha: float, at: str = "") -> float:
+    """log_sum / (1 - alpha), the Renyi value of log2 of a power sum."""
+    h = log_sum / (1.0 - alpha)
     if not math.isfinite(h):
-        raise OverflowError(f"the Renyi sum of order {alpha!r} leaves the float range")
+        raise OverflowError(f"the Renyi sum of order {alpha!r}{at} leaves the float range")
     return h
 
 
@@ -523,14 +528,17 @@ def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
     """H_alpha(X^n) for a Markov chain at each n of ns, a positive and
     nondecreasing sequence, from one pass of the O(n * states^2) vector
     recursion v1(x) = initial(x)^alpha, v_{k+1}(x') = sum_x v_k(x) T(x,x')^alpha
-    up to the last n: _linear_sums' value where it is certified, else
-    _log_domain_sums' (restarted at n = 1); each depends on (src, alpha, n)."""
+    up to the last n: log2 sum v_n from _linear_sums where it is certified,
+    else _log_domain_sums' (restarted at n = 1), lazily, as a sum past the
+    float range stops it; each depends on (src, alpha, n)."""
     _check_alpha(alpha)
     if any(n < m for m, n in zip(itertools.chain([1], ns), ns)):
         raise ValueError("block lengths must be positive and nondecreasing")
-    out = list(itertools.zip_longest(ns, _linear_sums(src, alpha, ns)))
-    logs = iter(_log_domain_sums(src, alpha, [n for n, h in out if h is None]))
-    return [next(logs) if h is None else h for _, h in out]
+    with np.errstate(over="ignore"):  # a huge order overflows terms to -inf
+        first, step = alpha * src.initial.log_masses, alpha * src.log_transitions
+    out = list(itertools.zip_longest(ns, _linear_sums(first, step, ns)))
+    logs = _log_domain_sums(first, step, [n for n, s in out if s is None])
+    return [_renyi(next(logs) if s is None else s, alpha, f" at n = {n}") for n, s in out]
 
 
 def _scaled(logs: np.ndarray) -> tuple[float, float, np.ndarray] | None:
@@ -544,22 +552,21 @@ def _scaled(logs: np.ndarray) -> tuple[float, float, np.ndarray] | None:
     return top, top - float(finite.min()), np.exp2(logs - top)
 
 
-def _linear_sums(src: MarkovSource, alpha: float, ns):
-    """Yield the recursion's value at each n of ns, None where it is not
-    certified, until a step or a value is not certified or not finite.
+def _linear_sums(first: np.ndarray, step: np.ndarray, ns):
+    """Yield log2 sum v_n at each n of ns (v1 = 2^first, v_{k+1} = v_k 2^step),
+    None where it is not certified, until a step is not or a sum is not finite.
 
     The weights w, sum v_n = 2^(start + (n-1) top + exponent) sum w, start
-    at exp2(alpha log2 initial - start) and step to w A, A = exp2(alpha
-    log2 T - top), summed in increasing x (einsum: BLAS picks its order by
-    CPU); an exact power of two rescales w when its top leaves
-    [2^-301, 2^300).  With every positive weight within 2^-300 of the
-    largest, a product w(x) A(x,x') is 0 or a float of at least 2^-901,
-    which rounds relatively and keeps every term the log domain keeps.  A
-    value is certified when a first-order bound on its rounding is below
-    2^-40 of log2 sum v_n, which fails where rounding decides the sum (a
-    nearly deterministic chain, an order next to 1)."""
-    with np.errstate(over="ignore"):  # a huge order overflows terms to -inf
-        first, step = _scaled(alpha * src.initial.log_masses), _scaled(alpha * src.log_transitions)
+    at exp2(first - start) and step to w A, A = exp2(step - top), summed in
+    increasing x (einsum: BLAS picks its order by CPU); an exact power of
+    two rescales w when its top leaves [2^-301, 2^300).  With every
+    positive weight within 2^-300 of the largest, a product w(x) A(x,x') is
+    0 or a float of at least 2^-901, which rounds relatively and keeps
+    every term the log domain keeps.  A value is certified when a
+    first-order bound on its rounding is below 2^-40 of it, which fails
+    where rounding decides the sum (a nearly deterministic chain, an order
+    next to 1)."""
+    first, step = _scaled(first), _scaled(step)
     if first is None or step is None:
         return
     (start, spread0, w), (top, spread, a) = first, step
@@ -579,33 +586,25 @@ def _linear_sums(src: MarkovSource, alpha: float, ns):
             return
         log_sum = math.log2(math.fsum(w.tolist()))
         total = math.fsum((start, (n - 1) * top, exponent, log_sum))
-        h = total / (1.0 - alpha)
         # in units of 2^-53: 2 ulp of exp2 and spread units of its argument
         # per entry of w1 and A, w.size per step's sums, 1 for fsum(w),
         # 1/ln 2 < 1.5 into log2, and one rounding of each other term
         err = (1.5 * (5 + spread0 + (n - 1) * (4 + spread + w.size)) + 2 * abs(log_sum)
                + abs((n - 1) * top) + abs(total))
-        yield h if err * 2.0 ** -53 <= abs(total) * 2.0 ** -40 else None
+        yield total if err * 2.0 ** -53 <= abs(total) * 2.0 ** -40 else None
 
 
-def _log_domain_sums(src: MarkovSource, alpha: float, ns) -> list[float]:
-    """markov_renyi_sums in the log domain, one _log2sumexp_rows call a step
-    (row x' of step_t + lv holds log2 of the terms v_k(x) T(x,x')^alpha); a
-    sum past the float range raises OverflowError."""
-    out = []
-    k = 1
-    with np.errstate(over="ignore"):  # a huge order overflows terms to -inf
-        lv = alpha * src.initial.log_masses
-        step_t = np.ascontiguousarray((alpha * src.log_transitions).T)
-        for n in ns:
+def _log_domain_sums(first: np.ndarray, step: np.ndarray, ns):
+    """_linear_sums' log2 sum v_n in the log domain, one _log2sumexp_rows call
+    a step (row x' of step_t + lv holds log2 of the terms v_k(x) 2^step(x,x'));
+    -inf where every term left the float range."""
+    lv, step_t, k = first, np.ascontiguousarray(step.T), 1
+    for n in ns:
+        with np.errstate(over="ignore"):  # lv + step_t can pass -1.8e308
             for _ in range(n - k):
                 lv = _log2sumexp_rows(step_t + lv)
-            k = n
-            out.append(log2sumexp(lv) / (1.0 - alpha))
-            if not math.isfinite(out[-1]):
-                raise OverflowError(f"the Renyi sum of order {alpha!r} at n = {n} "
-                                    "leaves the float range")
-    return out
+        k = n
+        yield log2sumexp(lv)
 
 
 def _nonnegative(value: float, alpha: float) -> float:

@@ -677,6 +677,14 @@ class TestOrders:
         assert code == 2
         assert err.startswith("error: numeric overflow: ")
 
+    def test_markov_refusal_names_its_n_and_prints_no_row(self, capsys, files):
+        code = main(fill(files, ["entropy", "--markov", "markov", "--alpha", "1e307",
+                                 "--n", "100..130"]))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: numeric overflow: the Renyi sum of order 1e+307 "
+                                "at n = 113 leaves the float range\n")
+
     @pytest.mark.parametrize("argv,expected", [
         # only the 0.1 term overflows, and it is negligible beside 0.9^alpha
         (["entropy", "--pmf", "bern01", "--alpha", "1e308"],

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taskcodes import (
     MarkovSource,
@@ -278,6 +278,7 @@ class TestMarkovRenyiSum:
     def test_one_pass_rows_match_separate_calls(self, src, alpha, ns):
         assert markov_renyi_sums(src, alpha, ns) == [markov_renyi_sums(src, alpha, [n])[0] for n in ns]
 
+    @settings(deadline=None)  # the exact Fraction reference takes most of the time
     @given(exact_chains(), st.sampled_from([2, 3]), st.integers(1, 40))
     @example(chain([0.5, 0.5], [[1.0 - 1e-40, 1e-40], [0.5, 0.5]]), 3, 40)  # 3 log2 1e-40 < -300
     @example(chain([0.5, 0.5], [[0.125, 0.875], [0.0, 1.0]]), 3, 40)  # 2^-9 behind per step
@@ -319,11 +320,22 @@ class TestMarkovRenyiSum:
         (chain([0.5, 0.5], [[0.125, 0.875], [0.0, 1.0]]), 0.5, [201], 0.00787084246),
     ], ids=["entry-below-float-range", "huge-order", "rate-in-the-last-bits", "transient"])
     def test_uncertified_chains_take_the_log_domain(self, monkeypatch, src, alpha, ns, rate):
-        want = probability._log_domain_sums(src, alpha, ns)
+        with np.errstate(over="ignore"):
+            first, step = alpha * src.initial.log_masses, alpha * src.log_transitions
+        want = [probability._renyi(s, alpha) for s in probability._log_domain_sums(first, step, ns)]
         calls = count_log_domain_rows(monkeypatch)
         assert markov_renyi_sums(src, alpha, ns) == want
         assert calls
         assert want[-1] / ns[-1] == pytest.approx(rate, rel=1e-9)
+
+    def test_float_range_refusal_stops_the_log_domain(self, monkeypatch):
+        # every term of the sticky chain's sum leaves the float range at
+        # n = 113, and nothing past it is computed
+        calls = count_log_domain_rows(monkeypatch)
+        src = chain([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
+        with pytest.raises(OverflowError, match=r"^the Renyi sum of order 1e\+307 at n = 113 "):
+            markov_renyi_sums(src, 1e307, range(100, 100001))
+        assert 0 < len(calls) <= 147
 
     @pytest.mark.parametrize("ns", [[0], [2, 1], [3, 5, 4]])
     def test_one_pass_needs_positive_nondecreasing_ns(self, ns):
