@@ -342,38 +342,40 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     Each budget run of the greedy sweep is a union of type classes, in
     tuple index order.  partitions.greedy_blocks gives the sweep's blocks
     as (count, size) pairs, and so the stretch ends, where the block size
-    changes.  A run that no stretch end cuts takes one block size for all
-    its types.  Position alone splits a cut run at its end and a one-type
-    run anywhere; IidTypes.first_counts splits interleaved types at the
-    other stretch ends.  The moment sums count * (L^rho * P) over
-    (type, block size) with grouped_fsum, which is fsum over the tuples.
+    changes.  A run whose types share one mass under `law` gives the moment
+    only its tuple count per stretch, so its types are laid end to end and
+    cut at the stretch ends; IidTypes.first_counts splits a run of two or
+    more masses at each stretch end inside it.  grouped_fsum sums
+    count * (L^rho * P) over the pieces: fsum over the tuples.
     """
     types = law.types
     budget = lambda_from_law(design, rho, m)  # per type
     order = np.argsort(budget.codes, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(budget.codes))))
-    run_counts = np.add.reduceat(types.multiplicity[order], bounds[:-1]).tolist()
+    mult = types.multiplicity[order]
+    run_counts = np.add.reduceat(mult, bounds[:-1]).tolist()
     blocks = greedy_blocks(budget.values, run_counts, law.size)
     used = sum(r for r, _ in blocks)
     if used > m:
         raise ValueError(f"{used} preimages exceed M = {m}")
-    # in Python ints, as k^n can pass 2^63: the stretch ends, the run
-    # starts, and the stretch holding each run's first position
+    # in Python ints, as k^n can pass 2^63: the stretch ends and the run starts
     ends = list(itertools.accumulate(r * s for r, s in blocks))
     starts = [0, *itertools.accumulate(run_counts)]
-    at = [bisect.bisect_right(ends, a) for a in starts[:-1]]
-    # every (type, block size): the types of the whole runs in one gather,
-    # then each cut run's pieces, one per stretch end inside it or its end
-    one = np.array([ends[i] >= stop for i, stop in zip(at, starts[1:])])
-    whole = np.flatnonzero(one[budget.codes])
-    members, counts = [whole], [types.multiplicity[whole]]
-    sizes = [np.array([blocks[i][1] for i in at], float)[budget.codes[whole]]]
-    for r in np.flatnonzero(~one).tolist():
+    low, high = (f.reduceat(law.masses[order], bounds[:-1]) for f in (np.minimum, np.maximum))
+    hi = np.cumsum(mult)  # the types laid end to end, in order
+    place = np.searchsorted(hi, ends[:-1])  # where the inner stretch ends fall among them
+    count = np.diff(np.insert(hi, place, ends[:-1]), prepend=0)  # the tuples of each piece,
+    at = np.searchsorted(place + np.arange(place.size), np.arange(count.size))  # its stretch
+    of = np.arange(count.size) - at  # and its type's place in order
+    keep = (count > 0) & np.repeat(low == high, np.diff(bounds))[of]
+    members, counts = [order[of[keep]]], [count[keep]]
+    sizes = [np.array([s for _, s in blocks], float)[at[keep]]]
+    del hi, count, at, of, keep  # free the layout before the walk and the sum
+    for r in np.flatnonzero(low < high).tolist():
         group = order[bounds[r]:bounds[r + 1]]
         before, start, end = 0, starts[r], starts[r + 1]
-        for i in range(at[r], bisect.bisect_left(ends, end) + 1):
+        for i in range(bisect.bisect_right(ends, start), bisect.bisect_left(ends, end) + 1):
             upto = (types.multiplicity[group] if ends[i] >= end
-                    else np.array([ends[i] - start], types.multiplicity.dtype) if group.size == 1
                     else types.first_counts(group, ends[i] - start))
             some = upto > before
             members.append(group[some])

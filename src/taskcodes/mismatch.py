@@ -18,7 +18,7 @@ design=q).
 import math
 from typing import NamedTuple
 
-from .errors import SupportViolationError
+from .errors import InvalidOrderError, SupportViolationError
 from .probability import (
     DEFAULT_TUPLE_CAP,
     IidTypes,
@@ -48,14 +48,22 @@ def sundaresan_divergence(p, q, alpha: float) -> float:
 
 
 def _sundaresan(p, q, alpha: float, h: float) -> float:
-    """sundaresan_divergence(p, q, alpha) for a checked order and h = H_alpha(p)."""
+    """sundaresan_divergence(p, q, alpha) for a checked order and h = H_alpha(p),
+    refused where its rounding, to first order 2^-52 (3 (|log_a| + |h| + |r log_c|)
+    + |value| + e (1 + |r| + 1/|1 - alpha|)) with r = alpha/(1 - alpha), passes
+    2^-20 max(1, |value|): a log sum L of N terms rounds by 2^-52 (|L| + e), e = 17 + 3 log2 N."""
     _check_alphabets(p, q)
     log_a = _log2_power_sum(q, alpha, q, 0.0)
     if alpha < 1.0 and _escapes(p, q):
         return math.inf  # some P(x)/Q(x)^(1-alpha) hits a/0
     # with alpha > 1 and disjoint supports log_c is -inf and the value inf
     log_c = _log2_power_sum(p, 1.0, q, alpha - 1.0)
-    return _nonnegative(log_a - h + alpha / (1.0 - alpha) * log_c, alpha)
+    r, e = alpha / (1.0 - alpha), 17.0 + 3.0 * math.log2(q.masses.size)
+    value = log_a - h + r * log_c
+    if (3.0 * (abs(log_a) + abs(h) + abs(r * log_c)) + abs(value)
+            + e * (1.0 + abs(r) + 1.0 / abs(1.0 - alpha))) > 2.0 ** 32 * max(1.0, abs(value)):
+        raise InvalidOrderError(f"the divergence of order {alpha!r} has no certified digits")
+    return _nonnegative(value, alpha)
 
 
 def renyi_divergence(p, q, alpha: float) -> float:

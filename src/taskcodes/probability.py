@@ -428,19 +428,18 @@ class IidTypes:
         while their completions fit in s; the letter of the first that does
         not fit joins the prefix, and the types holding it stay live (the
         others get ways 0, and their pairs go once half the live types have
-        left).  Past half the run it walks the last total - s tuples: the
-        first ones with the letters read backwards."""
+        left).  s equal to the union's size takes every tuple at once."""
         members = np.asarray(members, dtype=np.intp)
         completions = self.multiplicity[members]
-        total = completions.sum()
-        flip = 2 * s > total
+        if s == completions.sum():
+            return completions
         starts, widths = self.entries(members)
         owner = np.repeat(np.arange(members.size), widths)
         entry = np.arange(owner.size) + np.repeat(starts - np.cumsum(widths) + widths, widths)
-        letter = self.k - 1 - self.letters[entry] if flip else self.letters[entry]
+        letter = self.letters[entry]
         by_letter = np.argsort(letter, kind="stable")
         owner, letter, count = (a[by_letter].tolist() for a in (owner, letter, self.counts[entry]))
-        s, ways, taken = int(total - s) if flip else s, completions.tolist(), [0] * members.size
+        ways, taken = completions.tolist(), [0] * members.size
         live, packed = range(members.size), members.size
         for left in range(self.n, 0, -1):
             if s == 0:
@@ -466,8 +465,7 @@ class IidTypes:
                 owner, letter, count = (list(itertools.compress(a, keep))
                                         for a in (owner, letter, count))
                 packed = len(live)
-        taken = np.array(taken, dtype=completions.dtype)
-        return completions - taken if flip else taken
+        return np.array(taken, dtype=completions.dtype)
 
 
 def _combinations(m: int, d: int) -> np.ndarray:

@@ -369,6 +369,24 @@ class TestMismatch:
         delta = float(out.splitlines()[1].split(",")[1])
         assert delta == pytest.approx(math.log2(4 / 3), abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", ["1e12", "1e15", "1e18", "1e308", "1e9",
+                                       "1.0000000000000002", "0.9999999999999998"])
+    def test_order_without_certified_digits_exit_2(self, capsys, files, alpha):
+        # -alpha in one term against +alpha in another, or rounding-sized logs
+        # times 1/(1 - alpha): 1e15 printed delta 1, 1e18 and 1e308 printed 0
+        code, err = run_error(capsys, ["mismatch", "--pmf", str(files["bern01"]),
+                                       "--q", str(files["fair"]), "--alpha", alpha])
+        assert code == 2
+        assert err == f"error: the divergence of order {float(alpha)!r} has no certified digits\n"
+
+    def test_order_1000_keeps_its_bytes(self, capsys, files):
+        code, out = run(capsys, ["mismatch", "--pmf", str(files["bern01"]),
+                                 "--q", str(files["fair"]), "--alpha", "1000,1.0001,0.9999"])
+        assert (code, out) == (0, "alpha,delta,renyi_div,kl\n"
+                                  "1000,0.847844751306,0.847844751306,0.531004406411\n"
+                                  "1.0001,0.531035747241,0.531035747242,0.531004406411\n"
+                                  "0.9999,0.530973061909,0.530973061908,0.531004406411\n")
+
     def test_disjoint_supports_inf_cell(self, capsys, files):
         a = files["tmp"] / "a.pmf"
         a.write_text("1\n0\n")
@@ -664,18 +682,21 @@ class TestOrders:
         assert code == 0
         assert len(out.splitlines()) == 3
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv,error", [
         # the rate at n = 7 is about 0.273, but log2 of its Renyi sum (-1.9e308) is no float
-        ["entropy", "--markov", "markov", "--alpha", "1e308", "--n", "6..7"],
+        (["entropy", "--markov", "markov", "--alpha", "1e308", "--n", "6..7"],
+         "error: numeric overflow: "),
         # every term of the uniform law overflows: the sum is not 2 but inf
-        ["entropy", "--pmf", "uniform4", "--alpha", "1e308"],
-        # the Renyi divergence would print -0.848, and none is negative
-        ["mismatch", "--pmf", "fair", "--q", "bern01", "--alpha", "1e308"],
+        (["entropy", "--pmf", "uniform4", "--alpha", "1e308"], "error: numeric overflow: "),
+        # the Renyi divergence would print -0.848, and none is negative; the
+        # Sundaresan divergence, computed first, already has no certified digit
+        (["mismatch", "--pmf", "fair", "--q", "bern01", "--alpha", "1e308"],
+         "error: the divergence of order 1e+308 has no certified digits\n"),
     ], ids=["markov", "uniform", "mismatch"])
-    def test_sums_past_the_float_range_exit_2(self, capsys, files, argv):
+    def test_sums_past_the_float_range_exit_2(self, capsys, files, argv, error):
         code, err = run_error(capsys, fill(files, argv))
         assert code == 2
-        assert err.startswith("error: numeric overflow: ")
+        assert err.startswith(error)
 
     def test_markov_refusal_names_its_n_and_prints_no_row(self, capsys, files):
         code = main(fill(files, ["entropy", "--markov", "markov", "--alpha", "1e307",

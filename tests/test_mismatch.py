@@ -3,6 +3,7 @@ import math
 import pytest
 
 from taskcodes import (
+    InvalidOrderError,
     Pmf,
     SupportViolationError,
     block_experiment,
@@ -78,6 +79,11 @@ class TestRenyiDivergence:
             above = renyi_divergence(p, q, 1.0 + 1e-4)
             assert below - 1e-3 <= kl <= above + 1e-3
 
+    def test_a_negative_value_past_the_float_range_is_refused(self):
+        # the overflowing terms would leave -0.848, and no divergence is negative
+        with pytest.raises(OverflowError, match="order 1e\\+308 leaves the float range"):
+            renyi_divergence(Pmf([0.5, 0.5]), Pmf([0.9, 0.1]), 1e308)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the largest term overflows to +inf at order 1e308 and is "
                               "dropped from the sum; ROADMAP item 4's term rewrite mends it")
@@ -117,6 +123,14 @@ class TestDivergenceLimits:
             assert lim.probes[1e3] == pytest.approx(lim.order_inf, abs=1e-2)
             assert lim.probes[1.0 - 1e-4] == pytest.approx(lim.kl, abs=1e-2)
             assert lim.probes[1.0 + 1e-4] == pytest.approx(lim.kl, abs=1e-2)
+
+    def test_probes_keep_their_values_where_large_orders_are_refused(self):
+        # bern vs fair is refused at order 1e12, but every probe is certified
+        lim = divergence_limits(Pmf([0.9, 0.1]), Pmf([0.5, 0.5]))
+        assert list(lim.probes) == [1e-3, 1.0 - 1e-4, 1.0 + 1e-4, 1e3]
+        assert all(0.0 < v < 1.0 for v in lim.probes.values())
+        with pytest.raises(InvalidOrderError, match="no certified digits"):
+            sundaresan_divergence(Pmf([0.9, 0.1]), Pmf([0.5, 0.5]), 1e12)
 
     def test_support_violation(self):
         with pytest.raises(SupportViolationError):

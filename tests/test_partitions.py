@@ -46,6 +46,13 @@ class TestPartition:
         part = Partition([[2, 3], [0], [1]])
         assert part.to_text() == "0\n1\n2 3\n"
 
+    def test_repr_shows_sorted_blocks(self):
+        assert repr(Partition([[2, 0], [1]])) == "Partition([[0, 2], [1]])"
+
+    def test_equals_only_partitions(self):
+        assert Partition([[0]]).__eq__(0) is NotImplemented
+        assert (Partition([[0]]) == 0) is False
+
 
 class TestLambdaBudgetText:
     def test_skips_blank_and_comment_lines(self):
@@ -96,6 +103,9 @@ class TestLambdaBudget:
 
     def test_infinity_contributes_zero(self):
         assert LambdaBudget([math.inf, math.inf]).mu == 0
+
+    def test_repr_lists_the_budgets(self):
+        assert repr(LambdaBudget([3, math.inf, 1])) == "LambdaBudget([3, inf, 1])"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

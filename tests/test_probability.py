@@ -95,6 +95,14 @@ class TestRenyiEntropy:
         assert renyi_entropy(Pmf([0.9, 0.1]), 1.0 + 2.0 ** -52) == pytest.approx(
             shannon, abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="1 + sqrt(1e-300) rounds to 1 inside the power sum; "
+                              "ROADMAP item 4's stable form mends it")
+    def test_a_tiny_mass_keeps_its_entropy(self):
+        # 2 log2(1 + 1e-150) = 2.885e-150; today 0.0 is returned
+        assert renyi_entropy(Pmf([1e-300, 1.0]), 0.5) == pytest.approx(
+            2.885390081777927e-150, rel=1e-9, abs=0.0)
+
 
 class TestRenyiRho:
     def test_uniform_eight(self):
@@ -236,6 +244,18 @@ class TestMarkovRenyiSum:
         src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.99, 0.01], [0.01, 0.99]]))
         h = markov_renyi_sums(src, 0.5, [500])[0]
         assert math.isfinite(h) and h > 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="1/(1 - alpha) times a rounding-sized log2 of the power sum "
+                              "next to order 1; ROADMAP item 4's stable form mends it")
+    def test_order_next_to_one_nears_the_shannon_rates(self):
+        # the README's sticky chain; today 1, 1, 1.333, 1, 0.8 per letter
+        src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]]))
+        ns = range(1, 6)
+        shannon = [-float(np.sum(law.masses * law.log_masses)) / n
+                   for n in ns for law in [markov_joint(src, n)]]
+        got = [h / n for n, h in zip(ns, markov_renyi_sums(src, 0.9999999999999999, ns))]
+        assert got == pytest.approx(shannon, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(20))

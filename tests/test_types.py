@@ -80,9 +80,12 @@ def rows(draw):
 @example((Pmf([0.4, 0.3, 0.3, 0.0]), 8, Fraction("1.9"), 2.0, Pmf([0.25] * 4)))
 @example((Pmf([0.4, 0.3, 0.3, 0.0]), 8, Fraction("1.9"), 0.5, None))
 # large alphabets of tied masses: every type sits in one budget run, cut
-# between blocks, and the walk splits its 4,096 and 45,760 types
+# between blocks, and position splits its 4,096 and 45,760 types
 @example((Pmf([1 / 4096] * 4096), 1, Fraction("7.5"), 1.0, None))
 @example((Pmf([1 / 64] * 64), 3, Fraction("5.6"), 1.0, None))
+# a uniform design scored under a law of four masses: the design's one
+# budget run holds types of many source masses, which the walk splits
+@example((Pmf([0.25] * 4), 8, Fraction("2.3"), 0.5, Pmf([0.4, 0.3, 0.2, 0.1])))
 def test_type_row_is_the_enumerated_row(row):
     p, n, rate, rho, design = row
     try:
@@ -191,12 +194,13 @@ def test_rank_walk_past_int64():
 
 
 def walk_calls(p, n, rate, rho, design=None):
-    """The (multiplicities of the members, s) of each rank walk that
-    block_experiment takes on the row."""
+    """The (multiplicities of the members, s, their masses under p) of each
+    rank walk that block_experiment takes on the row."""
     calls, walk = [], IidTypes.first_counts
 
     def spy(types, members, s):
-        calls.append((types.multiplicity[members].tolist(), s))
+        masses = TypeLaw(p, types).masses[members].tolist()
+        calls.append((types.multiplicity[members].tolist(), s, masses))
         return walk(types, members, s)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -213,10 +217,10 @@ def walk_calls(p, n, rate, rho, design=None):
 @example((Pmf([0.5, 0.3, 0.2]), 13, Fraction("1.4"), 1.0, Pmf([0.6, 0.3, 0.1])))
 @example((Pmf([1 / 64] * 64), 3, Fraction("5.6"), 1.0, None))
 def test_the_walk_runs_only_where_types_interleave(row):
-    # a one-type run and a run's end are split by position: the walk gets
-    # two or more types and a cut strictly inside their tuples
-    for mults, s in walk_calls(*row):
-        assert len(mults) >= 2 and 0 < s < sum(mults)
+    # a run's end and a run of one mass are split by position: the walk gets
+    # types of two or more masses and a cut strictly inside their tuples
+    for mults, s, masses in walk_calls(*row):
+        assert len(set(masses)) >= 2 and 0 < s < sum(mults)
 
 
 def test_benchmark_rows_walk_only_inside_runs_of_several_types():
