@@ -126,30 +126,20 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def cmd_entropy(args) -> list[str]:
-    lines = []
+    orders = args.alpha if args.rho is None else args.rho
     if args.pmf is not None:
         p = _load(args.pmf, read_pmf_text)
-        if args.rho is not None:
-            lines.append("rho,entropy_bits")
-            for rho in args.rho:
-                lines.append(f"{fmt(rho)},{fmt(renyi_rho(p, rho))}")
-        else:
-            lines.append("alpha,entropy_bits")
-            for alpha in args.alpha:
-                lines.append(f"{fmt(alpha)},{fmt(renyi_entropy(p, alpha))}")
-    else:
-        src = _load(args.markov, read_markov_text)
-        if args.n is None:
-            raise UsageError("entropy --markov needs --n")
-        orders = args.alpha if args.rho is None else args.rho
-        if len(orders) != 1:
-            raise UsageError("entropy --markov takes a single --alpha or --rho")
-        alpha = orders[0] if args.rho is None else _rho_order(orders[0])
-        ns = args.n[::args.step]
-        lines.append("n,entropy_rate_bits")
-        for n, h in zip(ns, markov_renyi_sums(src, alpha, ns)):
-            lines.append(f"{n},{fmt(h / n)}")
-    return lines
+        head, entropy = ("alpha", renyi_entropy) if args.rho is None else ("rho", renyi_rho)
+        return [f"{head},entropy_bits", *(f"{fmt(o)},{fmt(entropy(p, o))}" for o in orders)]
+    src = _load(args.markov, read_markov_text)
+    if args.n is None:
+        raise UsageError("entropy --markov needs --n")
+    if len(orders) != 1:
+        raise UsageError("entropy --markov takes a single --alpha or --rho")
+    alpha = orders[0] if args.rho is None else _rho_order(orders[0])
+    ns = args.n[::args.step]
+    return ["n,entropy_rate_bits",
+            *(f"{n},{fmt(h / n)}" for n, h in zip(ns, markov_renyi_sums(src, alpha, ns)))]
 
 
 def cmd_construct(args) -> list[str]:

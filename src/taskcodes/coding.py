@@ -42,6 +42,7 @@ from .probability import (
     _check_cap,
     _check_rho,
     _exact,
+    _markov_log_masses,
     _per_tuple,
     _rho_order,
     grouped_fsum,
@@ -386,19 +387,21 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     return used, _moment_sum(law.masses[members], sizes, rho, counts)
 
 
-def _check_underflow(p: Pmf, law: TypeLaw, rho: float) -> None:
-    """Refuse the law of n letters of p when the tuples whose mass underflows
-    to 0 in it could change the moment.  Each sits in a block of at most k^n
-    tuples, so together they add at most sum mult * 2^(log-mass) * (k^n)^rho
-    to a moment of at least 1; the law is refused when that is 2^-53 or more.
+def _check_underflow(law: Pmf, log_masses, base: int, n: int, rho: float) -> None:
+    """Refuse the law of n letters when the tuples whose mass underflows to
+    0 in it could change the moment; log_masses() gives each symbol's true
+    log-mass.  Each lost tuple sits in a block of at most base^n tuples, so
+    together they add at most sum mult * 2^(log-mass) * (base^n)^rho to a
+    moment of at least 1; the law is refused when that is 2^-53 or more.
     """
     lost = law.masses == 0.0
     if lost.any():  # log2sumexp skips the true zeros, of log-mass -inf
-        bound = log2sumexp(law.types.log_masses(p)[lost], law.multiplicity[lost])
-        bound += rho * law.types.n * math.log2(p.size)
+        counts = None if law.multiplicity is None else law.multiplicity[lost]
+        bound = log2sumexp(log_masses()[lost], counts)
+        bound += rho * n * math.log2(base)
         if bound >= -53.0:
             raise OverflowError(f"tuple masses below the float range at n = "
-                                f"{law.types.n} could add 2^{bound:.6g} to the moment")
+                                f"{n} could add 2^{bound:.6g} to the moment")
 
 
 def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
@@ -416,10 +419,10 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     An i.i.d. row is computed on the C(n+k-1, k-1) type classes of the
     n-tuples (TypeLaw, _type_encoder), never on the k^n-entry law; it is
     the row the enumerated law gives, bit for bit, when the Renyi entropy
-    and the penalty sum the tuples with fsum; it raises OverflowError when
-    tuple masses that underflow to 0 could change its moment.  A Markov row
-    enumerates the law (markov_joint), and the design's law with it
-    (iid_joint).
+    and the penalty sum the tuples with fsum.  A Markov row enumerates the
+    law (markov_joint), and the design's law with it (iid_joint).  Either
+    row raises OverflowError when tuple masses that underflow to 0 could
+    change its moment.
 
     The inputs are checked in one order: rho, the alphabets, the tuple cap
     on base^n, then M, and only then are the n-tuple laws built.  The cap
@@ -438,11 +441,12 @@ def block_experiment(source: Pmf | MarkovSource, n: int, rate, rho: float,
     if isinstance(source, MarkovSource):
         design_law = None if design is None else iid_joint(design, n, cap)
         law = markov_joint(source, n, cap)
+        _check_underflow(law, lambda: _markov_log_masses(source, n), letters.size, n, rho)
         part = build_encoder(design_law or law, rho, m)
         used, value = part.num_blocks, moment(law, part, rho)
     else:
         law = TypeLaw(source, IidTypes(letters.size, n))
-        _check_underflow(source, law, rho)
+        _check_underflow(law, lambda: law.types.log_masses(source), letters.size, n, rho)
         design_law = None if design is None else TypeLaw(design, law.types)
         used, value = _type_encoder(law, design_law or law, rho, m)
     return _row(law, rho, m, design_law, n, float(rate_fr), used, value)

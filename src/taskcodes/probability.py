@@ -349,38 +349,40 @@ class IidTypes:
     """The types of n letters over the alphabet 0..k-1: the count vectors
     that n-tuples can have, C(n+k-1, k-1) of them.
 
-    A type is held sparsely, as its (letter, count) pairs with positive
-    count in increasing letter order: `letters` and `counts` hold the pairs
-    of every type back to back.  Types come grouped by their number d of
-    distinct letters, `groups[d-1]` of them, so the types with d letters
-    form one T_d x d block of the entry arrays (`entries` finds a type's
-    pairs); no T x k array is ever built.  `multiplicity[t]` is the exact
-    number of tuples of type t, n!/prod(counts!), computed once per
-    composition of n (it does not depend on which letters carry the counts):
-    int64 while k^n, their sum and the largest int any caller forms, stays
-    below 2^63, Python ints (an object array) past it.
+    Row t of the T x D arrays `letters` and `counts`, D = min(k, n), holds
+    type t's (letter, count) pairs of positive count in increasing letter
+    order, then pads of count 0 and letter 0; rows come in order of their
+    number of pairs, and no T x k array is ever built.  `multiplicity[t]`
+    is the exact number of tuples of type t, n!/prod(counts!), computed once
+    per composition of n (it does not depend on which letters carry the
+    counts): int64 while k^n, their sum and the largest int any caller
+    forms, stays below 2^63, Python ints (an object array) past it.
     """
 
-    __slots__ = ("k", "n", "letters", "counts", "groups", "multiplicity")
+    __slots__ = ("k", "n", "letters", "counts", "multiplicity")
 
     def __init__(self, k: int, n: int) -> None:
         if k < 1 or n < 1:
             raise ValueError("need a nonempty alphabet and a positive block length")
         self.k, self.n = k, n
         small = n * (k - 1).bit_length() < 63  # k^n < 2^63
-        letters, counts, mults = [], [], []
-        for d in range(1, min(k, n) + 1):
-            chosen = _combinations(k, d).astype(np.min_scalar_type(k - 1))
+        width = min(k, n)
+        self.letters = np.zeros((math.comb(n + k - 1, k - 1), width), np.min_scalar_type(k - 1))
+        self.counts = np.zeros(self.letters.shape, np.min_scalar_type(n))
+        mults = []
+        for d in range(1, width + 1):
+            chosen = _combinations(k, d)
             # n split into d positive parts at d-1 cuts among 1..n-1
             cuts = _combinations(n - 1, d - 1) + 1
-            parts = np.diff(cuts, axis=1, prepend=0, append=n).astype(np.min_scalar_type(n))
-            letters.append(np.repeat(chosen, len(parts), axis=0).ravel())
-            counts.append(np.tile(parts, (len(chosen), 1)).ravel())
+            parts = np.diff(cuts, axis=1, prepend=0, append=n).astype(self.counts.dtype)
+            start = sum(map(len, mults))  # each letter set with each split, from here on
+            for table, fill in ((self.letters, chosen[:, None]), (self.counts, parts)):
+                table[start:start + len(chosen) * len(parts)].reshape(
+                    len(chosen), len(parts), width)[..., :d] = fill
             # n!/prod(c!) = prod_j C(c_1+...+c_j, c_j), the same for every letter set
             mult = [math.prod(map(math.comb, itertools.accumulate(c), c)) for c in parts.tolist()]
             mults.append(np.tile(np.array(mult, dtype=np.int64 if small else object), len(chosen)))
-        self.letters, self.counts, self.multiplicity = map(np.concatenate, (letters, counts, mults))
-        self.groups = tuple(m.size for m in mults)
+        self.multiplicity = np.concatenate(mults)
         for arr in (self.letters, self.counts, self.multiplicity):
             arr.flags.writeable = False
 
@@ -397,24 +399,12 @@ class IidTypes:
         before normalization."""
         if p.size != self.k:
             raise AlphabetMismatchError(f"alphabet sizes differ: {p.size} vs {self.k}")
-        terms = self.counts * p.log_masses[self.letters]
-        out = []
-        start = 0
-        for d, group in enumerate(self.groups, start=1):
-            block = terms[start:start + d * group].reshape(group, d)
-            start += d * group
-            acc = block[:, 0].copy()
-            for j in range(1, d):
-                acc += block[:, j]
-            out.append(acc)
-        return np.concatenate(out)
-
-    def entries(self, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The first entry and the number d of entries of each of `types`."""
-        first_type = np.cumsum((0,) + self.groups)
-        first_entry = np.cumsum((0,) + tuple(d * g for d, g in enumerate(self.groups, 1)))
-        group = np.searchsorted(first_type[1:], types, side="right")
-        return first_entry[group] + (types - first_type[group]) * (group + 1), group + 1
+        acc = np.zeros(len(self))
+        # a pad's 0 * log2 p_0 is nan where p_0 = 0; `where` leaves it out
+        with np.errstate(invalid="ignore"):
+            for a, c in zip(self.letters.T, self.counts.T):
+                np.add(acc, c * p.log_masses[a], out=acc, where=c > 0)
+        return acc
 
     def first_counts(self, members: np.ndarray, s: int) -> np.ndarray:
         """How many of the first s tuples, in index order, of the union of
@@ -433,12 +423,10 @@ class IidTypes:
         completions = self.multiplicity[members]
         if s == completions.sum():
             return completions
-        starts, widths = self.entries(members)
-        owner = np.repeat(np.arange(members.size), widths)
-        entry = np.arange(owner.size) + np.repeat(starts - np.cumsum(widths) + widths, widths)
-        letter = self.letters[entry]
+        owner, slot = np.nonzero(self.counts[members])
+        letter, count = self.letters[members[owner], slot], self.counts[members[owner], slot]
         by_letter = np.argsort(letter, kind="stable")
-        owner, letter, count = (a[by_letter].tolist() for a in (owner, letter, self.counts[entry]))
+        owner, letter, count = (a[by_letter].tolist() for a in (owner, letter, count))
         ways, taken = completions.tolist(), [0] * members.size
         live, packed = range(members.size), members.size
         for left in range(self.n, 0, -1):
@@ -515,11 +503,17 @@ def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf
     _check_cap(base, n, cap)
     if base == 1:
         return src.initial  # the point mass, at any n
+    acc = _markov_log_masses(src, n)
+    return Pmf(np.exp2(acc, out=acc))
+
+
+def _markov_log_masses(src: MarkovSource, n: int) -> np.ndarray:
+    """log2 of the mass of each n-tuple of states, before normalization."""
     acc = src.initial.log_masses.copy()
     for _ in range(n - 1):
-        last = np.arange(acc.size) % base
+        last = np.arange(acc.size) % src.initial.size
         acc = (acc[:, None] + src.log_transitions[last, :]).ravel()
-    return Pmf(np.exp2(acc, out=acc))
+    return acc
 
 
 def markov_renyi_sums(src: MarkovSource, alpha: float, ns) -> list[float]:

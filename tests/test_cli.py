@@ -633,6 +633,26 @@ class TestInputErrors:
                                "7893925254624524631460578252309590973076475813558490108610538960012"
                                ",1,1.56151441196e-35,1,3.55553514249e+140,0.00383877159309\n")
 
+    @pytest.mark.parametrize("rho,out", [
+        ("100", None),
+        ("1", "n,R,rho,M,N,moment,lower,upper,m_tilde,delta\n"
+              "20,0.9,1,262144,3,1,7.62939453125e-06,1.00003052014,65530.5,0.100006054043\n"),
+    ])
+    def test_markov_row_with_underflowed_masses(self, capsys, files, rho, out):
+        # 1,046,256 of the 2^20 tuples have mass 0; the 7,752 of four
+        # switches, of mass 2^-1329.8, could add 2^683 at rho = 100 and
+        # nothing at rho = 1, like an i.i.d. row's lost tuples
+        chain = files["tmp"] / "switch.markov"
+        chain.write_text("2\n0.5 0.5\n1 1e-100\n1e-100 1\n")
+        argv = ["sweep", "--markov", str(chain), "--rate", "0.9", "--rho", rho, "--n", "20..20"]
+        if out is not None:
+            assert run(capsys, argv) == (0, out)
+            return
+        code, err = run_error(capsys, argv)
+        assert code == 2
+        assert err == ("error: numeric overflow: tuple masses below the float range at "
+                       "n = 20 could add 2^683.149 to the moment\n")
+
     def test_markov_entropy_needs_n(self, capsys, files):
         for order in (["--alpha", "0.5"], ["--rho", "1"]):
             code, err = run_error(capsys, fill(files, ["entropy", "--markov", "markov", *order]))

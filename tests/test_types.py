@@ -79,6 +79,8 @@ def rows(draw):
 @example((Pmf([0.5, 0.3, 0.2]), 11, Fraction("1.2"), 1.0, None))
 @example((Pmf([0.4, 0.3, 0.3, 0.0]), 8, Fraction("1.9"), 2.0, Pmf([0.25] * 4)))
 @example((Pmf([0.4, 0.3, 0.3, 0.0]), 8, Fraction("1.9"), 0.5, None))
+# letter 0 of mass 0: the pads of the types with one or two letters point at it
+@example((Pmf([0.0, 0.6, 0.4]), 9, Fraction("1.2"), 1.0, Pmf([0.0, 0.5, 0.5])))
 # large alphabets of tied masses: every type sits in one budget run, cut
 # between blocks, and position splits its 4,096 and 45,760 types
 @example((Pmf([1 / 4096] * 4096), 1, Fraction("7.5"), 1.0, None))
@@ -113,11 +115,20 @@ def test_types_count_every_tuple_once(k, n):
     types = IidTypes(k, n)
     assert len(types) == math.comb(n + k - 1, k - 1)
     assert int(types.multiplicity.sum()) == k ** n
-    starts, widths = types.entries(np.arange(len(types)))
-    seen = {tuple(zip(types.letters[a:a + d].tolist(), types.counts[a:a + d].tolist()))
-            for a, d in zip(starts.tolist(), widths.tolist())}
+    seen = {tuple((a, c) for a, c in zip(letters, counts) if c)
+            for letters, counts in zip(types.letters.tolist(), types.counts.tolist())}
     assert len(seen) == len(types)
-    assert (starts + widths)[-1] == types.letters.size
+    assert types.letters.shape == types.counts.shape == (len(types), min(k, n))
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 1), (2, 6), (3, 5), (4, 4), (6, 3), (5, 2), (9, 7)])
+def test_type_rows_hold_their_pairs_in_letter_order_then_pads(k, n):
+    types = IidTypes(k, n)
+    for letters, counts in zip(types.letters.tolist(), types.counts.tolist()):
+        d = np.count_nonzero(counts)
+        assert all(counts[:d]) and not any(counts[d:])
+        assert letters[:d] == sorted(set(letters[:d]))
+        assert sum(counts) == n
 
 
 def test_multiplicities_past_int64_are_exact():
@@ -128,9 +139,7 @@ def test_multiplicities_past_int64_are_exact():
 
 
 def count_vector(types, t, k):
-    (a,), (d,) = types.entries(np.array([t]))
-    return tuple(np.bincount(np.repeat(types.letters[a:a + d], types.counts[a:a + d]),
-                             minlength=k).tolist())
+    return tuple(np.bincount(np.repeat(types.letters[t], types.counts[t]), minlength=k).tolist())
 
 
 @pytest.mark.parametrize("k,n", [(1, 4), (2, 1), (2, 9), (3, 6), (4, 5), (5, 3), (6, 2)])
@@ -237,15 +246,19 @@ def test_benchmark_rows_walk_only_inside_runs_of_several_types():
     ((0.4, 0.3, 0.2, 0.1), 1.9, 60,
      "60,1.9,1,20769187434139310514121985316880384,9611795134845910061464493744757808,"
      "4.74589797229,2.06980244528,9.27920978114,5.19229685853e+33,0.0333333333333"),
-], ids=["ternary-n160", "four-letters-n60"])
+    ((1 / 2048,) * 2048, 10.5, 2,
+     "2,10.5,1,2097152,838861,4.99999904633,2,9.00009155378,524282,1.00000825521"),
+], ids=["ternary-n160", "four-letters-n60", "uniform-k2048-n2"])
 def test_deep_rows_keep_their_bytes(p, rate, n, row):
-    # rows no enumeration reaches, so the oracle above cannot check them,
-    # whose cut runs hold up to 71 and 549 types
+    # rows the enumerated oracle above does not reach: two whose cut runs
+    # hold up to 71 and 549 types, and the largest type table, 2,098,176
+    # rows of one or two letters
     assert block_experiment(Pmf(p), n, rate, 1.0, cap=10 ** 200).csv_row() == row
 
 
 @pytest.mark.parametrize("masses,n", [([0.9, 0.1], 9), ([0.5, 0.3, 0.2], 6),
-                                      ([0.4, 0.0, 0.35, 0.25], 4), ([1.0], 3)])
+                                      ([0.4, 0.0, 0.35, 0.25], 4), ([1.0], 3),
+                                      ([0.0, 0.7, 0.3], 5)])
 def test_iid_joint_gives_each_tuple_its_canonical_type_mass(masses, n):
     # the sum over the letters present in x, in increasing letter order, of
     # n_a(x) * log2 p_a; then one correctly rounded total for every tuple
