@@ -4,9 +4,9 @@ encoder designed for a mismatched law via `sweep --q`), and divergence
 tables.
 
 Exit codes: 0 success, 1 usage/config error, 2 numeric precondition
-violation or overflow, 3 enumeration cap exceeded.  Output is CSV ('.' decimal
-separator, 12 significant digits, LF line endings); identical inputs give
-byte-identical output.
+violation or overflow, 3 enumeration cap exceeded or a type table too large
+to allocate.  Output is CSV ('.' decimal separator, 12 significant digits,
+LF line endings); identical inputs give byte-identical output.
 """
 
 import argparse
@@ -154,10 +154,7 @@ def cmd_construct(args) -> list[str]:
     part = build_encoder(p, args.rho, args.M)
     report = _row(p, args.rho, args.M, None, 1, math.nan, part.num_blocks,
                   moment(p, part, args.rho))
-    lines = part.to_text().rstrip("\n").split("\n")
-    lines.append(MomentReport.CSV_HEADER)
-    lines.append(report.csv_row())
-    return lines
+    return [*part.to_text().rstrip("\n").split("\n"), MomentReport.CSV_HEADER, report.csv_row()]
 
 
 def cmd_moment(args) -> list[str]:

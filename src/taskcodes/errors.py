@@ -10,7 +10,7 @@ class InvalidOrderError(TaskCodesError):
 
 
 class CapExceededError(TaskCodesError):
-    """An enumeration would exceed the configured tuple cap."""
+    """An enumeration would exceed the tuple cap, or a type table cannot be allocated."""
 
 
 class AlphabetMismatchError(TaskCodesError):

@@ -16,10 +16,8 @@ both sum with grouped_fsum.  Divergences between two laws other than KL
 live in taskcodes.mismatch.
 """
 
-import bisect
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -367,8 +365,12 @@ class IidTypes:
         self.k, self.n = k, n
         small = n * (k - 1).bit_length() < 63  # k^n < 2^63
         width = min(k, n)
-        self.letters = np.zeros((math.comb(n + k - 1, k - 1), width), np.min_scalar_type(k - 1))
-        self.counts = np.zeros(self.letters.shape, np.min_scalar_type(n))
+        try:  # numpy refuses a table past memory or past its largest dimension
+            self.letters = np.zeros((math.comb(n + k - 1, k - 1), width),
+                                    np.min_scalar_type(k - 1))
+            self.counts = np.zeros(self.letters.shape, np.min_scalar_type(n))
+        except (MemoryError, ValueError) as exc:
+            raise CapExceededError(f"the types of {k}^{n} tuples cannot be held: {exc}") from None
         mults = []
         for d in range(1, width + 1):
             chosen = _combinations(k, d)
@@ -411,48 +413,43 @@ class IidTypes:
         the classes of the types `members` (0 <= s <= its size) fall in each.
 
         The walk, in Python ints, fixes the tuple's letters one position at
-        a time.  With a prefix fixed and `left` letters to go, a type whose
-        remaining counts are r has ways = multinomial(r) completions, of
-        which ways * r_a / left start with letter a.  At each position it
-        goes over the (type, letter) pairs of the live types in letter order
-        while their completions fit in s; the letter of the first that does
-        not fit joins the prefix, and the types holding it stay live (the
-        others get ways 0, and their pairs go once half the live types have
-        left).  s equal to the union's size takes every tuple at once."""
+        a time.  With a prefix fixed and `left` letters to go, a live type
+        whose remaining counts are r has ways = multinomial(r) completions,
+        of which ways * r_a / left start with letter a.  Each letter keeps
+        its holders as [type, remaining count] entries.  At each position
+        the walk goes over the letters in increasing order and drops the
+        holders that are dead or have used the letter up; while the rest's
+        completions through the letter fit in s, each takes its share and s
+        shrinks by their sum.  The first letter that does not fit joins the
+        prefix, and its holders are the live types.  Once one type is live
+        the rest of s is its; s equal to the union's size takes every tuple
+        at once."""
         members = np.asarray(members, dtype=np.intp)
         completions = self.multiplicity[members]
         if s == completions.sum():
             return completions
-        owner, slot = np.nonzero(self.counts[members])
-        letter, count = self.letters[members[owner], slot], self.counts[members[owner], slot]
-        by_letter = np.argsort(letter, kind="stable")
-        owner, letter, count = (a[by_letter].tolist() for a in (owner, letter, count))
-        ways, taken = completions.tolist(), [0] * members.size
-        live, packed = range(members.size), members.size
+        holders = {}
+        rows = zip(self.letters[members].tolist(), self.counts[members].tolist())
+        for i, (letters, counts) in enumerate(rows):
+            for a, c in itertools.compress(zip(letters, counts), counts):
+                holders.setdefault(a, []).append([i, c])
+        holders = dict(sorted(holders.items()))
+        ways, taken = dict(enumerate(completions.tolist())), [0] * members.size
         for left in range(self.n, 0, -1):
-            if s == 0:
+            if len(ways) == 1 or s == 0:
                 break
-            # left * (the completions before each pair), up to the first pair past s
-            below = list(itertools.takewhile((s * left).__ge__, itertools.accumulate(
-                map(operator.mul, map(ways.__getitem__, owner), count), initial=0)))
-            pick = letter[len(below) - 1]
-            first = bisect.bisect_left(letter, pick, 0, len(below))
-            stop = bisect.bisect_right(letter, pick, len(below) - 1)
-            for i, c in zip(owner[:first], count[:first]):
-                taken[i] += ways[i] * c // left
-            s -= below[first] // left
-            share = [ways[i] * c // left for i, c in zip(owner[first:stop], count[first:stop])]
-            for i in live:
-                ways[i] = 0
-            for i, w in zip(owner[first:stop], share):
-                ways[i] = w
-            live = list(itertools.compress(owner[first:stop], share))
-            count[first:stop] = [c - 1 for c in count[first:stop]]
-            if 2 * len(live) <= packed:  # drop the pairs of the types that left
-                keep = [ways[i] * c for i, c in zip(owner, count)]
-                owner, letter, count = (list(itertools.compress(a, keep))
-                                        for a in (owner, letter, count))
-                packed = len(live)
+            for a, held in holders.items():
+                holders[a] = held = [e for e in held if e[1] and e[0] in ways]
+                lots = [ways[i] * c for i, c in held]  # left * completions via a
+                if s * left < sum(lots):
+                    break
+                for (i, _), lot in zip(held, lots):
+                    taken[i] += lot // left
+                s -= sum(lots) // left
+            ways = {i: lot // left for (i, _), lot in zip(held, lots)}
+            for e in held:
+                e[1] -= 1
+        taken[next(iter(ways))] += s
         return np.array(taken, dtype=completions.dtype)
 
 

@@ -308,6 +308,18 @@ class TestSweep:
                                "--cap", "1024"])
         assert code == 3
 
+    # past the cap, 64 letters of mass 1/64: numpy refuses each type table
+    # before it allocates anything (285 TiB at n = 12; past its largest
+    # dimension at n = 100)
+    @pytest.mark.parametrize("n,cap", [(12, 10 ** 27), (100, 10 ** 200)])
+    def test_type_table_numpy_refuses_exit_3(self, capsys, files, n, cap):
+        u64 = files["tmp"] / "u64.pmf"
+        u64.write_text("0.015625\n" * 64)
+        code, err = run_error(capsys, ["sweep", "--pmf", str(u64), "--rate", "6.5",
+                                       "--rho", "1", "--n", f"{n}..{n}", "--cap", str(cap)])
+        assert code == 3
+        assert f"the types of 64^{n} tuples cannot be held" in err
+
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_nonpositive_cap_usage_error(self, capsys, files, cap):
         code, err = run_error(capsys, ["sweep", "--pmf", str(files["bern01"]),

@@ -1,4 +1,5 @@
-"""The package's modules form layers: each imports only from earlier ones."""
+"""The package's modules form layers: each imports only from earlier ones,
+and reads every name it imports."""
 import ast
 from pathlib import Path
 
@@ -27,3 +28,15 @@ def test_every_module_has_a_layer():
 def test_imports_reach_only_earlier_layers(module):
     earlier = set(LAYERS[:LAYERS.index(module)])
     assert relative_imports(PACKAGE / f"{module}.py") <= earlier
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_every_imported_name_is_read(module):
+    # __init__ is left out: its imports are the package's re-exports
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert imported <= read
