@@ -145,16 +145,15 @@ def cmd_entropy(args) -> list[str]:
 def cmd_construct(args) -> list[str]:
     if args.budgets is not None:
         part = build_partition(_load(args.budgets, LambdaBudget.from_text))
-        lines = part.to_text().rstrip("\n").split("\n")
-        lines.append(f"# blocks={part.num_blocks} kraft_sum={kraft_sum(part)}")
-        return lines
+        return [*part.to_text().splitlines(),
+                f"# blocks={part.num_blocks} kraft_sum={kraft_sum(part)}"]
     if args.M is None or args.rho is None:
         raise UsageError("construct --pmf needs --M and --rho")
     p = _load(args.pmf, read_pmf_text)
     part = build_encoder(p, args.rho, args.M)
     report = _row(p, args.rho, args.M, None, 1, math.nan, part.num_blocks,
                   moment(p, part, args.rho))
-    return [*part.to_text().rstrip("\n").split("\n"), MomentReport.CSV_HEADER, report.csv_row()]
+    return [*part.to_text().splitlines(), MomentReport.CSV_HEADER, report.csv_row()]
 
 
 def cmd_moment(args) -> list[str]:
@@ -166,7 +165,7 @@ def cmd_moment(args) -> list[str]:
 def cmd_oracle(args) -> list[str]:
     p = _load(args.pmf, read_pmf_text)
     value, part = brute_force_optimum(p, args.M, args.rho)
-    return [fmt(value), *part.to_text().rstrip("\n").split("\n")]
+    return [fmt(value), *part.to_text().splitlines()]
 
 
 def cmd_sweep(args) -> list[str]:

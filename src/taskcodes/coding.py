@@ -14,7 +14,6 @@ entropy of order 1/(1+rho); an encoder designed for a mismatched law pays
 Sundaresan's divergence in the upper bound's exponent.
 """
 
-import bisect
 import decimal
 import itertools
 import math
@@ -341,50 +340,49 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     on the n-tuples, found on the type classes without enumerating them.
 
     Each budget run of the greedy sweep is a union of type classes, in
-    tuple index order.  partitions.greedy_blocks gives the sweep's blocks
-    as (count, size) pairs, and so the stretch ends, where the block size
-    changes.  A run whose types share one mass under `law` gives the moment
-    only its tuple count per stretch, so its types are laid end to end and
-    cut at the stretch ends; IidTypes.first_counts splits a run of two or
-    more masses at each stretch end inside it.  grouped_fsum sums
+    tuple index order; partitions.greedy_blocks gives the stretches, spans
+    of blocks of one size.  One merge of the run ends with the stretch ends
+    gives the pieces where a run meets a stretch.  A run whose types share
+    one mass under `law` adds each piece whole; only a cut inside a run of
+    two or more masses calls IidTypes.first_counts.  grouped_fsum sums
     count * (L^rho * P) over the pieces: fsum over the tuples.
     """
     types = law.types
     budget = lambda_from_law(design, rho, m)  # per type
     order = np.argsort(budget.codes, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(budget.codes))))
-    mult = types.multiplicity[order]
-    run_counts = np.add.reduceat(mult, bounds[:-1]).tolist()
-    blocks = greedy_blocks(budget.values, run_counts, law.size)
+    run_counts = np.add.reduceat(types.multiplicity[order], bounds[:-1])
+    blocks = greedy_blocks(budget.values, run_counts.tolist(), law.size)
     used = sum(r for r, _ in blocks)
     if used > m:
         raise ValueError(f"{used} preimages exceed M = {m}")
-    # in Python ints, as k^n can pass 2^63: the stretch ends and the run starts
-    ends = list(itertools.accumulate(r * s for r, s in blocks))
-    starts = [0, *itertools.accumulate(run_counts)]
-    low, high = (f.reduceat(law.masses[order], bounds[:-1]) for f in (np.minimum, np.maximum))
-    hi = np.cumsum(mult)  # the types laid end to end, in order
-    place = np.searchsorted(hi, ends[:-1])  # where the inner stretch ends fall among them
-    count = np.diff(np.insert(hi, place, ends[:-1]), prepend=0)  # the tuples of each piece,
-    at = np.searchsorted(place + np.arange(place.size), np.arange(count.size))  # its stretch
-    of = np.arange(count.size) - at  # and its type's place in order
-    keep = (count > 0) & np.repeat(low == high, np.diff(bounds))[of]
-    members, counts = [order[of[keep]]], [count[keep]]
-    sizes = [np.array([s for _, s in blocks], float)[at[keep]]]
-    del hi, count, at, of, keep  # free the layout before the walk and the sum
-    for r in np.flatnonzero(low < high).tolist():
-        group = order[bounds[r]:bounds[r + 1]]
-        before, start, end = 0, starts[r], starts[r + 1]
-        for i in range(bisect.bisect_right(ends, start), bisect.bisect_left(ends, end) + 1):
-            upto = (types.multiplicity[group] if ends[i] >= end
-                    else types.first_counts(group, ends[i] - start))
+    masses = law.masses[order]
+    low, high = (f.reduceat(masses, bounds[:-1]) for f in (np.minimum, np.maximum))
+    # one merge of the run ends with the inner stretch ends, in the multiplicities' dtype
+    # (object where k^n can pass 2^63): a piece ends at each, with the tuples since the
+    # end before; its run and stretch are the numbers of run and stretch ends before it
+    inner = itertools.accumulate(r * s for r, s in blocks[:-1])
+    count = np.concatenate((np.cumsum(run_counts), np.array([*inner], run_counts.dtype)))
+    merged = np.argsort(count, kind="stable")
+    count = np.diff(count[merged], prepend=0)
+    run = np.searchsorted(np.flatnonzero(merged < run_counts.size), np.arange(merged.size))
+    size = np.array([s for _, s in blocks], float)[np.arange(merged.size) - run]
+    whole = (count > 0) & (low == high)[run]  # a stretch end on a run end adds an empty piece
+    piece_masses, sizes, counts = [low[run[whole]]], [size[whole]], [count[whole]]
+    cut = np.flatnonzero((count > 0) & ~whole)
+    pieces = zip(run[cut].tolist(), count[cut].tolist(), size[cut].tolist())
+    for r, run_pieces in itertools.groupby(pieces, key=lambda piece: piece[0]):
+        group, before, s = order[bounds[r]:bounds[r + 1]], 0, 0
+        for _, c, piece_size in run_pieces:
+            s += c
+            upto = types.first_counts(group, s) if s < run_counts[r] else types.multiplicity[group]
             some = upto > before
-            members.append(group[some])
+            piece_masses.append(masses[bounds[r]:bounds[r + 1]][some])
+            sizes.append(np.full(some.sum(), piece_size))
             counts.append((upto - before)[some])
-            sizes.append(np.full(members[-1].size, float(blocks[i][1])))
             before = upto
-    members, counts, sizes = map(np.concatenate, (members, counts, sizes))
-    return used, _moment_sum(law.masses[members], sizes, rho, counts)
+    piece_masses, sizes, counts = map(np.concatenate, (piece_masses, sizes, counts))
+    return used, _moment_sum(piece_masses, sizes, rho, counts)
 
 
 def _check_underflow(law: Pmf, log_masses, base: int, n: int, rho: float) -> None:

@@ -23,7 +23,7 @@ from taskcodes.cli import main
 from taskcodes.coding import _description_count, _row, _type_encoder
 from taskcodes.errors import RateTooSmallError
 from taskcodes.mismatch import product_additivity_check, sundaresan_divergence
-from taskcodes import probability
+from taskcodes import coding, probability
 from taskcodes.probability import IidTypes, TypeLaw, grouped_fsum
 from conftest import random_pmf, rng
 
@@ -88,6 +88,14 @@ def rows(draw):
 # a uniform design scored under a law of four masses: the design's one
 # budget run holds types of many source masses, which the walk splits
 @example((Pmf([0.25] * 4), 8, Fraction("2.3"), 0.5, Pmf([0.4, 0.3, 0.2, 0.1])))
+# a stretch end on a run end makes a piece of no tuples: at rho = 1e300 it
+# would add 0 copies of L^rho = inf, which grouped_fsum lets decide the sum
+@example((Pmf([1.0, 0.0]), 12, Fraction("0.61"), 1e300, None))
+# and where a run of law mass 0 ends a stretch, such a piece starts the next run
+@example((Pmf([0.0, 1.0, 0.0, 0.0]), 1, Fraction("2.76"), 1e300,
+          Pmf([2 / 11, 0.0, 2 / 11, 7 / 11])))
+# one run of one mass meets two stretches: 250 tuples in blocks of 10, then 6
+@example((Pmf([0.25] * 4), 4, Fraction("1.5"), 0.5, None))
 def test_type_row_is_the_enumerated_row(row):
     p, n, rate, rho, design = row
     try:
@@ -235,6 +243,27 @@ def test_the_walk_runs_only_where_types_interleave(row):
         assert len(set(masses)) >= 2 and 0 < s < sum(mults)
 
 
+def test_a_run_of_one_mass_is_one_piece_per_stretch():
+    # 45,760 types of one mass in one budget run: the moment sums one term
+    # per stretch of equal blocks, not one per type
+    seen, blocks, moment_sum = {}, coding.greedy_blocks, coding._moment_sum
+
+    def spy_blocks(*args):
+        got = blocks(*args)
+        seen["stretches"] = len(got)
+        return got
+
+    def spy_sum(masses, sizes, rho, counts=None):
+        seen["terms"] = masses.size
+        return moment_sum(masses, sizes, rho, counts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "greedy_blocks", spy_blocks)
+        patch.setattr(coding, "_moment_sum", spy_sum)
+        block_experiment(Pmf([1 / 64] * 64), 3, "5.6", 1.0)
+    assert seen["terms"] <= seen["stretches"]
+
+
 def test_benchmark_rows_walk_only_inside_runs_of_several_types():
     ternary, design = Pmf([0.5, 0.3, 0.2]), Pmf([0.6, 0.3, 0.1])
     assert walk_calls(Pmf([0.9, 0.1]), 20, "0.9", 1.0) == []  # sweep_iid
@@ -251,11 +280,15 @@ def test_benchmark_rows_walk_only_inside_runs_of_several_types():
      "4.74589797229,2.06980244528,9.27920978114,5.19229685853e+33,0.0333333333333"),
     ((1 / 2048,) * 2048, 10.5, 2,
      "2,10.5,1,2097152,838861,4.99999904633,2,9.00009155378,524282,1.00000825521"),
-], ids=["ternary-n160", "four-letters-n60", "uniform-k2048-n2"])
+    ((0.4, 0.2, 0.2, 0.2), 1.9, 40,
+     "40,1.9,1,75557863725914323419136,36137641217614746453974,11.8448489918,5.638809433,"
+     "23.555237732,1.88894659315e+22,0.05"),
+], ids=["ternary-n160", "four-letters-n60", "uniform-k2048-n2", "tied-n40"])
 def test_deep_rows_keep_their_bytes(p, rate, n, row):
     # rows the enumerated oracle above does not reach: two whose cut runs
-    # hold up to 71 and 549 types, and the largest type table, 2,098,176
-    # rows of one or two letters
+    # hold up to 71 and 549 types, the largest type table, 2,098,176 rows of
+    # one or two letters, and a row with no run of one mass, whose every
+    # piece comes from the walk, with counts past int64
     assert block_experiment(Pmf(p), n, rate, 1.0, cap=10 ** 200).csv_row() == row
 
 
