@@ -94,7 +94,8 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
     """Budgets ceil(beta * P(x)^(-1/(1+rho))) (inf on zero mass), with beta
     chosen just large enough that the greedy builder fits in M blocks:
-    beta = 2 * sum_x P(x)^(1/(1+rho)) / (M - log2|X| - 2).
+    beta = 2 * sum_x P(x)^(1/(1+rho)) / (M - log2|X| - 2).  Each distinct
+    mass takes one scalar power (a budget past the float range: OverflowError).
 
     `p` is a Pmf, or a TypeLaw whose symbols are types: beta then weights
     each type by its multiplicity, to the bits of the enumerated law."""
@@ -106,19 +107,8 @@ def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
         )
     beta = 2.0 * grouped_fsum(p.masses ** rt, p.multiplicity) / (m - threshold)
     masses, index = _distinct(p.masses)  # a budget depends on x only through P(x)
-    # np.power can differ from the scalar power in the last bit, and the
-    # ceil can turn that bit into another budget: a budget within 2^-40 of
-    # itself from an integer, or not finite, takes the scalar power.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        budgets = masses ** -rt
-        budgets *= beta  # an inf budget is refused below
-        near = np.flatnonzero(~(np.abs(budgets - np.rint(budgets)) > budgets * 2.0 ** -40))
-    budgets[near] = [math.inf if mass <= 0.0 else mass ** (-rt) * beta
-                     for mass in masses[near].tolist()]
-    np.maximum(np.ceil(budgets, out=budgets), 1.0, out=budgets)  # integers, as floats
-    if np.isinf(budgets[masses > 0.0]).any():
-        raise OverflowError("cannot convert float infinity to integer")
-    return LambdaBudget([b if b == math.inf else int(b) for b in budgets.tolist()], index)
+    return LambdaBudget([math.inf if mass == 0.0 else max(math.ceil(mass ** -rt * beta), 1)
+                         for mass in masses.tolist()], index)
 
 
 def build_encoder(p: Pmf, rho: float, m: int) -> Partition:

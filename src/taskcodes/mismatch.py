@@ -20,13 +20,11 @@ from typing import NamedTuple
 
 from .errors import InvalidOrderError, SupportViolationError
 from .probability import (
-    DEFAULT_TUPLE_CAP,
     IidTypes,
     Pmf,
     TypeLaw,
     _check_alpha,
     _check_alphabets,
-    _check_cap,
     _escapes,
     _log2_power_sum,
     _nonnegative,
@@ -115,14 +113,11 @@ def divergence_limits(p: Pmf, q: Pmf) -> DivergenceLimits:
     )
 
 
-def product_additivity_check(p: Pmf, q: Pmf, alpha: float, n: int,
-                             cap: int = DEFAULT_TUPLE_CAP) -> bool:
+def product_additivity_check(p: Pmf, q: Pmf, alpha: float, n: int) -> bool:
     """True iff Delta_alpha(p^n || q^n) = n * Delta_alpha(p || q) within
     1e-9 * n (infinities on both sides also count as equal).  The n-fold
-    laws are held on their type classes; n is still refused past the tuple
-    cap on |X|^n, as for an enumerated law."""
+    laws are held on their type classes."""
     single = sundaresan_divergence(p, q, alpha)
-    _check_cap(p.size, n, cap)
     types = IidTypes(p.size, n)
     joint = sundaresan_divergence(TypeLaw(p, types), TypeLaw(q, types), alpha)
     if math.isinf(single) or math.isinf(joint):

@@ -62,6 +62,9 @@ def grouped_fsum(values: np.ndarray, counts=None) -> float:
     Floats are made a slice at a time, so no list of them all is held.
     """
     values = np.asarray(values, dtype=float)
+    if counts is not None and not np.isfinite(values).all():
+        kept = counts != 0  # a value of count 0 adds nothing, inf or nan too
+        values, counts = values[kept], counts[kept]
     if counts is None or not np.isfinite(values).all():  # an inf or nan decides the sum
         return math.fsum(itertools.chain.from_iterable(
             values[i:i + _SLICE].tolist() for i in range(0, values.size, _SLICE)))

@@ -190,15 +190,20 @@ class TestConstruct:
         assert code == 2
         assert "log2|X| + 2 = 4" in err
 
-    def test_budget_overflow_exit_2(self, capsys, files):
-        # beta * mass^(-1/(1+rho)) overflows though the power does not: one
-        # error line, no numpy overflow warning
+    @pytest.mark.parametrize("tiny,line", [
+        # beta * mass^(-1/(1+rho)) overflows though the power does not
+        ("2.3e-308", "cannot convert float infinity to integer"),
+        # mass^(-1/(1+rho)) itself overflows
+        ("1e-320", "(34, 'Numerical result out of range')"),
+    ], ids=["product", "power"])
+    def test_budget_overflow_exit_2(self, capsys, files, tiny, line):
+        # one error line, no numpy overflow warning
         path = files["tmp"] / "tiny.pmf"
-        path.write_text("2.3e-308\n0.5\n0.5\n")
+        path.write_text(f"{tiny}\n0.5\n0.5\n")
         code, err = run_error(capsys, ["construct", "--pmf", str(path),
                                        "--M", "4", "--rho", "1e-6"])
         assert code == 2
-        assert err == "error: numeric overflow: cannot convert float infinity to integer\n"
+        assert err == f"error: numeric overflow: {line}\n"
 
     def test_lower_bound_just_inside_the_float_range(self, capsys, files):
         # lower = 2^(2465.9 * (3 - log2 6)) = 2^1023.44 is a finite float

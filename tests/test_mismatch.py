@@ -192,6 +192,12 @@ class TestProductAdditivity:
         # supp(p) is not inside supp(q): Delta_{1/2} is +inf at n = 1 and n = 3
         assert product_additivity_check(P_FAIR, Pmf([1.0, 0.0]), 0.5, 3)
 
+    def test_past_the_tuple_cap(self):
+        # the n-fold laws are type classes: 41 and 1,891 of them, not
+        # 2^40 and 3^60 tuples
+        assert product_additivity_check(Pmf([0.5, 0.5]), Pmf([0.6, 0.4]), 0.5, 40)
+        assert product_additivity_check(Pmf([0.5, 0.3, 0.2]), Pmf([0.6, 0.3, 0.1]), 2.0, 60)
+
     def test_random_pairs(self):
         for i in range(50):
             r = rng(73, i)

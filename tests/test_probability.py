@@ -280,9 +280,12 @@ def test_grouped_fsum_zero_count_adds_nothing(seed):
                        for _ in range(size)])
     counts = np.array([r.randint(1, 1 << 30) for _ in range(size)])
     at = r.randrange(size + 1)
-    zero = r.uniform(-1.0, 1.0) * 2.0 ** r.randint(-1070, 1020)
-    assert (grouped_fsum(np.insert(values, at, zero), np.insert(counts, at, 0))
-            == grouped_fsum(values, counts))
+    finite = r.uniform(-1.0, 1.0) * 2.0 ** r.randint(-1070, 1020)
+    for zero in (finite, math.inf, -math.inf, math.nan):  # none decides the sum
+        for dtype in (np.int64, object):
+            typed = counts.astype(dtype)
+            assert (grouped_fsum(np.insert(values, at, zero), np.insert(typed, at, 0))
+                    == grouped_fsum(values, typed))
 
 
 # two near-equal laws whose KL terms sum to -1.5e-16 in floats

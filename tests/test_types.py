@@ -283,12 +283,16 @@ def test_benchmark_rows_walk_only_inside_runs_of_several_types():
     ((0.4, 0.2, 0.2, 0.2), 1.9, 40,
      "40,1.9,1,75557863725914323419136,36137641217614746453974,11.8448489918,5.638809433,"
      "23.555237732,1.88894659315e+22,0.05"),
-], ids=["ternary-n160", "four-letters-n60", "uniform-k2048-n2", "tied-n40"])
+    (tuple((i + 1) / 131328 for i in range(512)), 10.5, 2,
+     "2,10.5,1,2097152,252517,1.0016559503,0.0989479305117,1.39579549665,524283,1.00000687934"),
+], ids=["ternary-n160", "four-letters-n60", "uniform-k2048-n2", "tied-n40",
+        "ramp-k512-n2"])
 def test_deep_rows_keep_their_bytes(p, rate, n, row):
     # rows the enumerated oracle above does not reach: two whose cut runs
     # hold up to 71 and 549 types, the largest type table, 2,098,176 rows of
-    # one or two letters, and a row with no run of one mass, whose every
-    # piece comes from the walk, with counts past int64
+    # one or two letters, a row with no run of one mass, whose every piece
+    # comes from the walk, with counts past int64, and a row of 70,801
+    # distinct masses, one budget each
     assert block_experiment(Pmf(p), n, rate, 1.0, cap=10 ** 200).csv_row() == row
 
 
