@@ -53,8 +53,8 @@ from .probability import (
 
 
 def fmt(v: float) -> str:
-    """A float as the CSV prints it: 12 significant digits, 0 for -0.0, or inf."""
-    return "inf" if math.isinf(v) else f"{v + 0.0:.12g}"
+    """A float as the CSV prints it: 12 significant digits, 0 for -0.0."""
+    return f"{v + 0.0:.12g}"
 
 
 class MomentReport(NamedTuple):
@@ -333,8 +333,9 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     tuple index order; partitions.greedy_blocks gives the stretches, spans
     of blocks of one size.  One merge of the run ends with the stretch ends
     gives the pieces where a run meets a stretch.  A run whose types share
-    one mass under `law` adds each piece whole; only a cut inside a run of
-    two or more masses calls IidTypes.first_counts.  grouped_fsum sums
+    one mass under `law` adds each piece whole.  A walked run, of two or
+    more masses, is one table: IidTypes.first_counts at its inner cuts,
+    then the rest of each type's tuples.  grouped_fsum sums
     count * (L^rho * P) over the pieces: fsum over the tuples.
     """
     types = law.types
@@ -360,17 +361,17 @@ def _type_encoder(law: TypeLaw, design: TypeLaw, rho: float, m: int) -> tuple[in
     whole = (count > 0) & (low == high)[run]  # a stretch end on a run end adds an empty piece
     piece_masses, sizes, counts = [low[run[whole]]], [size[whole]], [count[whole]]
     cut = np.flatnonzero((count > 0) & ~whole)
-    pieces = zip(run[cut].tolist(), count[cut].tolist(), size[cut].tolist())
-    for r, run_pieces in itertools.groupby(pieces, key=lambda piece: piece[0]):
-        group, before, s = order[bounds[r]:bounds[r + 1]], 0, 0
-        for _, c, piece_size in run_pieces:
-            s += c
-            upto = types.first_counts(group, s) if s < run_counts[r] else types.multiplicity[group]
-            some = upto > before
-            piece_masses.append(masses[bounds[r]:bounds[r + 1]][some])
-            sizes.append(np.full(some.sum(), piece_size))
-            counts.append((upto - before)[some])
-            before = upto
+    for r, pieces in itertools.groupby(cut.tolist(), key=run.__getitem__):
+        pieces = [*pieces]
+        group = order[bounds[r]:bounds[r + 1]]
+        cuts = itertools.accumulate(count[pieces[:-1]].tolist())  # the run's inner cuts
+        upto = [types.first_counts(group, s) for s in cuts]
+        # row j: piece j's tuples per type; dropping its 0s spares grouped_fsum memory
+        table = np.diff([np.zeros_like(group), *upto, types.multiplicity[group]], axis=0)
+        piece, col = np.nonzero(table)
+        piece_masses.append(masses[bounds[r] + col])
+        sizes.append(size[pieces][piece])
+        counts.append(table[piece, col])
     piece_masses, sizes, counts = map(np.concatenate, (piece_masses, sizes, counts))
     return used, _moment_sum(piece_masses, sizes, rho, counts)
 

@@ -413,7 +413,8 @@ class IidTypes:
 
     def first_counts(self, members: np.ndarray, s: int) -> np.ndarray:
         """How many of the first s tuples, in index order, of the union of
-        the classes of the types `members` (0 <= s <= its size) fall in each.
+        the classes of the types `members` fall in each; `members` is
+        nonempty and 0 <= s <= the union's size.
 
         The walk, in Python ints, fixes the tuple's letters one position at
         a time.  With a prefix fixed and `left` letters to go, a live type
@@ -425,12 +426,9 @@ class IidTypes:
         completions through the letter fit in s, each takes its share and s
         shrinks by their sum.  The first letter that does not fit joins the
         prefix, and its holders are the live types.  Once one type is live
-        the rest of s is its; s equal to the union's size takes every tuple
-        at once."""
+        the rest of s is its."""
         members = np.asarray(members, dtype=np.intp)
         completions = self.multiplicity[members]
-        if s == completions.sum():
-            return completions
         holders = {}
         rows = zip(self.letters[members].tolist(), self.counts[members].tolist())
         for i, (letters, counts) in enumerate(rows):

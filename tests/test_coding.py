@@ -216,6 +216,11 @@ class TestSandwich:
             assert mom < up
 
 
+def test_fmt_keeps_the_sign_of_an_infinity():
+    assert [coding.fmt(v) for v in (-math.inf, math.inf, -0.0, math.nan)] == [
+        "-inf", "inf", "0", "nan"]
+
+
 def test_ceiling_inequality():
     # ceil(x)^rho < 1 + 2^rho * x^rho for all x >= 0
     for i in range(10 ** 4):

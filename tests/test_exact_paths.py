@@ -405,6 +405,16 @@ class TestBruteForceOptimum:
         assert part.num_blocks <= m
         assert math.isclose(moment(p, part, rho), val, rel_tol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(pmfs(max_size=8), st.data(), st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.5, 7.0]))
+    def test_value_is_the_moment_of_its_partition(self, p, data, rho):
+        # the oracle rounds each block's mass sum before its power, moment each
+        # element's term: the two agree to a few ulps, not bit for bit
+        m = data.draw(st.integers(1, p.size + 1))
+        val, part = brute_force_optimum(p, m, rho)
+        assert part.num_blocks <= m
+        assert math.isclose(val, moment(p, part, rho), rel_tol=2**-49)
+
     @pytest.mark.parametrize("masses,m,rho", [
         ([0.1] * 10, 5, 1.0),
         ([x / 55 for x in range(1, 11)], 4, 1.7),

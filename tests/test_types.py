@@ -96,6 +96,9 @@ def rows(draw):
           Pmf([2 / 11, 0.0, 2 / 11, 7 / 11])))
 # one run of one mass meets two stretches: 250 tuples in blocks of 10, then 6
 @example((Pmf([0.25] * 4), 4, Fraction("1.5"), 0.5, None))
+# a walked design run at rho = 1e300: its pieces leave out types, whose
+# L^rho = inf, yet the row's moment is 1
+@example((Pmf([0.0, 1.0]), 6, Fraction("0.76"), 1e300, Pmf([0.625, 0.375])))
 def test_type_row_is_the_enumerated_row(row):
     p, n, rate, rho, design = row
     try:
