@@ -271,7 +271,7 @@ def subset_count_bound_detail(mu, alphabet_size: int) -> tuple[int, float]:
             val = _floor_plus_log(Fraction(a) * mu + 2, alphabet_size, a)
         if best is None or val < best:
             best, best_alpha = val, a
-    return max(int(best), 1), best_alpha
+    return best, best_alpha
 
 
 def subset_count_bound(mu, alphabet_size: int) -> int:

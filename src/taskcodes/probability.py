@@ -159,10 +159,10 @@ def _rho_order(rho: float) -> float:
 
 
 def _check_alphabets(p, q) -> None:
-    if p.log_masses.size != q.log_masses.size:
-        raise AlphabetMismatchError(
-            f"alphabet sizes differ: {p.log_masses.size} vs {q.log_masses.size}"
-        )
+    """Refuse two laws that differ in symbols or, for a TypeLaw, in tuples."""
+    for ours, theirs in ((p.log_masses.size, q.log_masses.size), (p.size, q.size)):
+        if ours != theirs:
+            raise AlphabetMismatchError(f"alphabet sizes differ: {ours} vs {theirs}")
 
 
 def _escapes(p, q) -> bool:
@@ -309,7 +309,8 @@ def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
     Each tuple gets the canonical log-mass of its type (see the module
     docstring), taken from its sorted letters, and the masses are divided by
     their correctly rounded total: the enumerated form of TypeLaw.  Tuples
-    are handled in blocks, so no k^n x n array is held."""
+    are handled in blocks, each summed in place into its own row of the
+    result, so no k^n x n array is held."""
     _check_cap(p.size, n, cap)
     k = p.size
     if k == 1:
@@ -320,30 +321,20 @@ def iid_joint(p: Pmf, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
     while r < n and k ** (r + 1) * n <= _CHUNK:
         r += 1
     letters = np.empty((k ** r, n), dtype=np.min_scalar_type(k - 1))
-    letters[:, n - r:] = _digits(np.arange(k ** r), k, r)
-    acc = np.empty(k ** n)
-    for block in range(k ** (n - r)):
-        letters[:, :n - r] = _digits(np.array([block]), k, n - r)
+    letters[:, n - r:] = np.column_stack(np.unravel_index(np.arange(k ** r), (k,) * r))
+    acc = np.zeros(k ** n)
+    for block, sums in enumerate(acc.reshape(-1, k ** r)):
+        letters[:, :n - r] = np.unravel_index(block, (k,) * (n - r))
         run_sorted = np.sort(letters, axis=1)
-        # count * log2 p_a at the end of each run of equal letters
-        sums = np.zeros(len(letters))
+        # count * log2 p_a at the end of each run of equal letters; the last
+        # letter ends every run, and a Python True selects all of `run`
         run = np.zeros(len(letters))
         for i in range(n):
             run += 1.0
-            terms = run * p.log_masses[run_sorted[:, i]]
-            if i + 1 < n:
-                ends = run_sorted[:, i] != run_sorted[:, i + 1]
-                sums += np.where(ends, terms, 0.0)
-                run[ends] = 0.0
-            else:
-                sums += terms
-        acc[block * len(letters):(block + 1) * len(letters)] = sums
+            ends = run_sorted[:, i] != run_sorted[:, i + 1] if i + 1 < n else True
+            np.add(sums, run * p.log_masses[run_sorted[:, i]], out=sums, where=ends)
+            run[ends] = 0.0
     return Pmf.__new__(Pmf)._normalize(np.exp2(acc, out=acc))
-
-
-def _digits(values: np.ndarray, k: int, width: int) -> np.ndarray:
-    """The base-k digits of each value, most significant first, as rows."""
-    return values[:, None] // k ** np.arange(width - 1, -1, -1) % k
 
 
 class IidTypes:
@@ -506,11 +497,12 @@ def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf
 
 
 def _markov_log_masses(src: MarkovSource, n: int) -> np.ndarray:
-    """log2 of the mass of each n-tuple of states, before normalization."""
+    """log2 of the mass of each n-tuple of states, before normalization,
+    summed left to right where each tuple sits: each step is one broadcast
+    add, and tuple x then state y lands at index x * states + y."""
     acc = src.initial.log_masses.copy()
     for _ in range(n - 1):
-        last = np.arange(acc.size) % src.initial.size
-        acc = (acc[:, None] + src.log_transitions[last, :]).ravel()
+        acc = (acc.reshape(-1, src.initial.size, 1) + src.log_transitions).ravel()
     return acc
 
 

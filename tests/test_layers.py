@@ -40,3 +40,24 @@ def test_every_imported_name_is_read(module):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert imported <= read
+
+
+def test_every_private_name_is_read():
+    # a module-level _name (function, class or assignment) that no module
+    # of the package loads, as a name or an attribute, or imports is dead
+    defined, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined.update(name.id for name in ast.walk(node)
+                               if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private - read == set()

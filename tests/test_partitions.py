@@ -122,7 +122,7 @@ class TestSubsetCountBound:
         assert bound >= 3  # the (1,2,4,4) instance needs 3
 
     def test_trivial_singleton(self):
-        assert subset_count_bound(Fraction(0), 1) >= 1
+        assert subset_count_bound(Fraction(0), 1) == 2
 
     def test_dense_grid_oracle(self):
         mu = 3.7

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -217,6 +218,19 @@ class TestMarkovJoint:
         src = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]]))
         law = markov_joint(src, 2)
         assert 2.0 ** law.log_masses[0] == pytest.approx(0.45, abs=1e-12)
+
+    def test_tuple_order_and_sum_order(self):
+        # tuple (x1, ..., xn) is symbol x1*k^(n-1) + ... + xn, and its log
+        # is summed left to right: log2 initial(x1), then each transition
+        src = MarkovSource(Pmf([0.2, 0.3, 0.5]),
+                           [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+        logs = []
+        for x in itertools.product(range(3), repeat=5):
+            log = float(src.initial.log_masses[x[0]])
+            for a, b in zip(x, x[1:]):
+                log += float(src.log_transitions[a, b])
+            logs.append(log)
+        assert markov_joint(src, 5).masses.tolist() == Pmf(np.exp2(logs)).masses.tolist()
 
 
 class TestMarkovRenyiSum:

@@ -299,30 +299,63 @@ def test_deep_rows_keep_their_bytes(p, rate, n, row):
     assert block_experiment(Pmf(p), n, rate, 1.0, cap=10 ** 200).csv_row() == row
 
 
-@pytest.mark.parametrize("masses,n", [([0.9, 0.1], 9), ([0.5, 0.3, 0.2], 6),
-                                      ([0.4, 0.0, 0.35, 0.25], 4), ([1.0], 3),
-                                      ([0.0, 0.7, 0.3], 5)])
-def test_iid_joint_gives_each_tuple_its_canonical_type_mass(masses, n):
-    # the sum over the letters present in x, in increasing letter order, of
-    # n_a(x) * log2 p_a; then one correctly rounded total for every tuple
-    p = Pmf(masses)
-    law = iid_joint(p, n)
-    types = IidTypes(p.size, n)
-    typed = TypeLaw(p, types)
-    by_counts = {count_vector(types, t, p.size): t for t in range(len(types))}
+def canonical_masses(p, n):
+    """iid_joint's masses summed in Python: for each tuple, in index order,
+    the sum over the letters present in x, in increasing letter order, of
+    n_a(x) * log2 p_a; then one correctly rounded total for every tuple."""
     logs = []
-    for x, letters in enumerate(itertools.product(range(p.size), repeat=n)):
+    for letters in itertools.product(range(p.size), repeat=n):
         counts = np.bincount(letters, minlength=p.size)
         log_mass = 0.0
         for a in range(p.size):
             if counts[a]:
                 log_mass += float(counts[a]) * float(p.log_masses[a])
         logs.append(log_mass)
-        if p.size > 1:
-            assert law.masses[x] == typed.masses[by_counts[tuple(counts.tolist())]]
     raw = np.exp2(logs)
+    return (raw / math.fsum(raw.tolist())).tolist()
+
+
+@pytest.mark.parametrize("masses,n", [([0.9, 0.1], 9), ([0.5, 0.3, 0.2], 6),
+                                      ([0.4, 0.0, 0.35, 0.25], 4), ([1.0], 3),
+                                      ([0.0, 0.7, 0.3], 5)])
+def test_iid_joint_gives_each_tuple_its_canonical_type_mass(masses, n):
+    p = Pmf(masses)
+    law = iid_joint(p, n)
+    types = IidTypes(p.size, n)
+    typed = TypeLaw(p, types)
+    by_counts = {count_vector(types, t, p.size): t for t in range(len(types))}
     if p.size > 1:
-        assert law.masses.tolist() == (raw / math.fsum(raw.tolist())).tolist()
+        for x, letters in enumerate(itertools.product(range(p.size), repeat=n)):
+            counts = tuple(np.bincount(letters, minlength=p.size).tolist())
+            assert law.masses[x] == typed.masses[by_counts[counts]]
+        assert law.masses.tolist() == canonical_masses(p, n)
+
+
+@pytest.mark.parametrize("masses,n", [([0.5, 0.3, 0.2], 6), ([0.4, 0.0, 0.35, 0.25], 4),
+                                      ([0.9, 0.1], 9)])
+def test_iid_joint_in_blocks_is_the_law_in_one(monkeypatch, masses, n):
+    # a block of k^r tuples needs k^r * n <= _CHUNK: at 2n each block holds
+    # the k tuples of one prefix of n - 1 letters
+    p = Pmf(masses)
+    whole = iid_joint(p, n)
+    monkeypatch.setattr(probability, "_CHUNK", 2 * n)
+    assert iid_joint(p, n).masses.tolist() == whole.masses.tolist() == canonical_masses(p, n)
+
+
+@pytest.mark.parametrize("divergence", [kl_divergence,
+                                        lambda p, q: sundaresan_divergence(p, q, 2.0),
+                                        lambda p, q: renyi_divergence(p, q, 0.5)],
+                         ids=["kl", "sundaresan", "renyi"])
+@pytest.mark.parametrize("p,q,sizes", [
+    (TypeLaw(Pmf([0.9, 0.1]), IidTypes(2, 2)), Pmf([0.5, 0.3, 0.2]), "4 vs 3"),
+    (TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3)), TypeLaw(Pmf([0.1, 0.2, 0.3, 0.4]), IidTypes(4, 1)),
+     "8 vs 4"),
+], ids=["3-types-against-3-letters", "4-types-on-8-and-4-tuples"])
+def test_divergences_refuse_laws_whose_tuples_differ_in_number(divergence, p, q, sizes):
+    # the same number of symbols, but each side's symbols stand for a
+    # different number of tuples
+    with pytest.raises(AlphabetMismatchError, match=f"alphabet sizes differ: {sizes}"):
+        divergence(p, q)
 
 
 # the edges between grouped_fsum's two paths: the float products take every
