@@ -107,7 +107,7 @@ def lambda_from_law(p: Pmf, rho: float, m: int) -> LambdaBudget:
         )
     beta = 2.0 * grouped_fsum(p.masses ** rt, p.multiplicity) / (m - threshold)
     masses, index = _distinct(p.masses)  # a budget depends on x only through P(x)
-    return LambdaBudget([math.inf if mass == 0.0 else max(math.ceil(mass ** -rt * beta), 1)
+    return LambdaBudget([math.inf if mass == 0.0 else math.ceil(mass ** -rt * beta)
                          for mass in masses.tolist()], index)
 
 

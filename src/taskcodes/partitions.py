@@ -31,11 +31,10 @@ class Partition:
     """An exact partition of {0, ..., k-1} into nonempty blocks.
 
     Stored as two read-only int arrays: `labels[x]` is the index of the
-    block holding x, with blocks numbered in the order they were given (the
-    greedy constructor relies on it), and `sizes[b]` is the cardinality of
-    block b, so `sizes[labels[x]]` is L(x), the cardinality of the block
-    holding x.  `blocks` and `to_text()` are views built on demand from
-    these arrays.  Equality ignores block order.
+    block holding x, blocks numbered in the order they were given, and
+    `sizes[b]` is the cardinality of block b, so `sizes[labels[x]]` is L(x),
+    the cardinality of the block holding x.  `blocks` and `to_text()` are
+    views built on demand from these arrays.  Equality ignores block order.
     """
 
     __slots__ = ("labels", "sizes")
@@ -313,20 +312,18 @@ def greedy_blocks(values, counts, size: int) -> list[tuple[int, int]]:
 def build_partition(budget: LambdaBudget) -> Partition:
     """Greedy budget-respecting partition.
 
-    Elements with lambda(x) >= k form one absorbing block, block 0; the rest
-    are swept in order of increasing (lambda(x), x), each new block taking
-    lambda(head) elements (or all that remain).  The result satisfies
-    L(x) <= min(lambda(x), k) and uses at most subset_count_bound(mu, k)
-    blocks.  The blocks, in sweep order, are greedy_blocks'.
+    Elements with lambda(x) < k are swept in order of increasing
+    (lambda(x), x), each new block taking lambda(head) elements (or all
+    that remain), then those with lambda(x) >= k form one absorbing block;
+    blocks are numbered in this sweep order, greedy_blocks'.  The result
+    has L(x) <= min(lambda(x), k) in at most subset_count_bound(mu, k) blocks.
     """
     size = budget.codes.size
     order = np.argsort(budget.codes, kind="stable")  # the (lambda(x), x) order
     blocks = greedy_blocks(budget.values, np.bincount(budget.codes).tolist(), size)
     reps, sizes = np.array(blocks).T
-    used = int(reps.sum())
-    absorbed = int(budget.values[budget.codes.max()] >= size)  # sweep-last, block 0
     labels = np.empty(size, dtype=np.intp)
-    labels[order] = np.repeat((np.arange(used) + absorbed) % used, np.repeat(sizes, reps))
+    labels[order] = np.repeat(np.arange(reps.sum()), np.repeat(sizes, reps))
     return Partition.from_labels(labels)
 
 

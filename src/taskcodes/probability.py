@@ -344,11 +344,12 @@ class IidTypes:
     Row t of the T x D arrays `letters` and `counts`, D = min(k, n), holds
     type t's (letter, count) pairs of positive count in increasing letter
     order, then pads of count 0 and letter 0; rows come in order of their
-    number of pairs, and no T x k array is ever built.  `multiplicity[t]`
-    is the exact number of tuples of type t, n!/prod(counts!), computed once
-    per composition of n (it does not depend on which letters carry the
-    counts): int64 while k^n, their sum and the largest int any caller
-    forms, stays below 2^63, Python ints (an object array) past it.
+    number of pairs, so a column's pads lead, and no T x k array is ever
+    built.  `multiplicity[t]` is the exact number of tuples of type t,
+    n!/prod(counts!), computed once per composition of n (it does not
+    depend on which letters carry the counts): int64 while k^n, their sum
+    and the largest int any caller forms, stays below 2^63, Python ints (an
+    object array) past it.
     """
 
     __slots__ = ("k", "n", "letters", "counts", "multiplicity")
@@ -396,10 +397,9 @@ class IidTypes:
         if p.size != self.k:
             raise AlphabetMismatchError(f"alphabet sizes differ: {p.size} vs {self.k}")
         acc = np.zeros(len(self))
-        # a pad's 0 * log2 p_0 is nan where p_0 = 0; `where` leaves it out
-        with np.errstate(invalid="ignore"):
-            for a, c in zip(self.letters.T, self.counts.T):
-                np.add(acc, c * p.log_masses[a], out=acc, where=c > 0)
+        for a, c in zip(self.letters.T, self.counts.T):
+            start = c.size - np.count_nonzero(c)  # the column's pads lead
+            acc[start:] += c[start:] * p.log_masses[a[start:]]
         return acc
 
     def first_counts(self, members: np.ndarray, s: int) -> np.ndarray:

@@ -21,18 +21,18 @@ from taskcodes import (
     lambda_from_law,
     markov_joint,
 )
+from taskcodes.partitions import greedy_blocks
 
 
 def greedy_reference(budgets) -> tuple[tuple[int, ...], ...]:
-    """The per-element greedy sweep: an absorbing block of the elements with
-    budget >= k, then blocks of lambda(head) elements in (lambda, x) order."""
+    """The per-element greedy sweep: blocks of lambda(head) elements in
+    (lambda, x) order, then an absorbing block of the elements with
+    budget >= k."""
     size = len(budgets)
     absorbing = [x for x in range(size) if budgets[x] >= size]
     rest = sorted((x for x in range(size) if budgets[x] < size),
                   key=lambda x: (budgets[x], x))
     blocks: list[list[int]] = []
-    if absorbing:
-        blocks.append(absorbing)
     i = 0
     while i < len(rest):
         quota = int(budgets[rest[i]])
@@ -40,6 +40,8 @@ def greedy_reference(budgets) -> tuple[tuple[int, ...], ...]:
         take = remaining if remaining <= quota else quota
         blocks.append(rest[i:i + take])
         i += take
+    if absorbing:
+        blocks.append(absorbing)
     return tuple(tuple(sorted(b)) for b in blocks)
 
 
@@ -81,6 +83,14 @@ class TestBuildPartition:
     def test_matches_greedy_loop(self, budgets):
         part = build_partition(LambdaBudget(budgets))
         assert part.blocks == greedy_reference(budgets)
+
+    @given(BUDGETS)
+    @example([math.inf, math.inf, 1])     # the absorbing block after a swept one
+    @example([math.inf] * 4 + [2] * 3)
+    def test_blocks_are_numbered_as_the_sweep_makes_them(self, budgets):
+        lb = LambdaBudget(budgets)
+        blocks = greedy_blocks(lb.values, np.bincount(lb.codes).tolist(), lb.size)
+        assert build_partition(lb).sizes.tolist() == [s for r, s in blocks for _ in range(r)]
 
     @given(BUDGETS, st.randoms(use_true_random=False))
     def test_indexed_budgets_match_listed(self, budgets, r):
@@ -169,6 +179,25 @@ def test_lambda_from_law_is_exact_above_2_to_53(rho):
     p = Pmf(np.append(tiny, 1.0 - tiny.sum()))
     m = 15  # just above log2(4096) + 2
     assert lambda_from_law(p, rho, m).budgets == scalar_budgets(p, rho, m)
+
+
+@pytest.mark.parametrize("masses", [[1.0], [5e-324, 1.0], [1e-300, 1.0],
+                                    [0.0, 5e-324, 1e-300, 1.0], [0.5, 0.25, 0.25]])
+@pytest.mark.parametrize("rho", [1e-15, 0.5, 1.0, 1e15])
+@pytest.mark.parametrize("m", [5, 10 ** 6, 2 ** 200, int(1.7e308)],
+                         ids=["5", "1e6", "2^200", "1.7e308"])
+def test_budgets_are_at_least_one_unclamped(masses, rho, m):
+    # sum_x P(x)^rt >= 1 for rt < 1 and M < 2^1024, so beta > 0, and a mass
+    # <= 1 only scales it up: every ceil is at least 1
+    p = Pmf(masses)
+    rt = 1.0 / (1.0 + rho)
+    try:
+        budgets = lambda_from_law(p, rho, m).budgets
+    except OverflowError:  # only for a budget past the float range
+        assert max(-rt * math.log2(x) for x in masses if x > 0) > 1000
+        return
+    assert all(b == math.inf or (type(b) is int and b >= 1) for b in budgets)
+    assert (math.inf in budgets) == (0.0 in masses)
 
 
 class TestPartition:

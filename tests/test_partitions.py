@@ -189,10 +189,7 @@ class TestGreedyBlocks:
         assert all(a[1] != b[1] for a, b in zip(blocks, blocks[1:]))  # neighbours merged
         used = sum(r for r, _ in blocks)
         assert used <= subset_count_bound(LambdaBudget(budgets).mu, len(budgets))
-        # the reference lists the absorbing block first; the sweep ends with it
-        want = list(greedy_reference(budgets))
-        if any(b >= len(budgets) for b in budgets):
-            want = want[1:] + want[:1]
+        want = greedy_reference(budgets)
         assert used == len(want)
         got = [s for r, s in blocks for _ in range(r * s)]
         assert got == [len(block) for block in want for _ in block]

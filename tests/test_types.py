@@ -142,6 +142,30 @@ def test_type_rows_hold_their_pairs_in_letter_order_then_pads(k, n):
         assert sum(counts) == n
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_type_rows_come_in_order_of_their_pairs(k):
+    for n in range(1, 9):
+        pairs = np.count_nonzero(IidTypes(k, n).counts, axis=1)
+        assert (np.diff(pairs) >= 0).all()
+
+
+@pytest.mark.parametrize("masses", [[0.0, 0.5, 0.5], [0.0, 0.6, 0.0, 0.4], [0.0, 0.1, 0.2, 0.3, 0.4],
+                                    [0.0, 0.3, 0.0, 0.2, 0.1, 0.4]])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_type_masses_read_no_pad(masses, n):
+    # letter 0 has mass 0, so a pad's 0 * log2 p_0 would be nan
+    p = Pmf(masses)
+    types = IidTypes(p.size, n)
+    want = []
+    for t in range(len(types)):
+        log_mass = 0.0
+        for a, c in enumerate(count_vector(types, t, p.size)):
+            if c:
+                log_mass += float(c) * float(p.log_masses[a])
+        want.append(log_mass)
+    assert types.log_masses(p).tolist() == want
+
+
 def test_multiplicities_past_int64_are_exact():
     types = IidTypes(2, 70)
     assert types.multiplicity.dtype == object
