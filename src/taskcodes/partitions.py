@@ -33,11 +33,12 @@ class Partition:
     Stored as two read-only int arrays: `labels[x]` is the index of the
     block holding x, blocks numbered in the order they were given, and
     `sizes[b]` is the cardinality of block b, so `sizes[labels[x]]` is L(x),
-    the cardinality of the block holding x.  `blocks` and `to_text()` are
+    the cardinality of the block holding x.  `ground_size` (k) and
+    `num_blocks` are their lengths, as ints.  `blocks` and `to_text()` are
     views built on demand from these arrays.  Equality ignores block order.
     """
 
-    __slots__ = ("labels", "sizes")
+    __slots__ = ("labels", "sizes", "ground_size", "num_blocks")
 
     def __init__(self, blocks) -> None:
         cleaned = [sorted(block) for block in blocks]
@@ -79,16 +80,8 @@ class Partition:
             raise ValueError("empty block")
         labels.flags.writeable = False
         sizes.flags.writeable = False
-        self.labels = labels
-        self.sizes = sizes
-
-    @property
-    def ground_size(self) -> int:
-        return int(self.labels.size)
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.sizes.size)
+        self.labels, self.sizes = labels, sizes
+        self.ground_size, self.num_blocks = labels.size, sizes.size
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -138,13 +131,14 @@ class LambdaBudget:
     inf), and `codes`, a read-only unsigned int array with
     lambda(x) = values[codes[x]].  Codes order elements as their budgets do,
     and they fit the smallest unsigned dtype, so a stable sort by code is a
-    cheap stable sort by budget.  `budgets` is a tuple view built on demand.
+    cheap stable sort by budget.  `size` is the number of elements, an int,
+    and `budgets` is a tuple view built on demand.
 
     mu = sum_x 1/lambda(x) is kept as an exact rational (1/inf = 0) so the
     floor in the subset-count bound never sits on a float boundary.
     """
 
-    __slots__ = ("values", "codes")
+    __slots__ = ("values", "codes", "size")
 
     def __init__(self, budgets, index=None) -> None:
         """The budget map x -> budgets[x], or with `index`, an int array,
@@ -160,16 +154,11 @@ class LambdaBudget:
         if index is not None:
             codes = codes[np.asarray(index)]
         codes.flags.writeable = False
-        self.values = tuple(values)
-        self.codes = codes
+        self.values, self.codes, self.size = tuple(values), codes, codes.size
 
     @property
     def budgets(self) -> tuple[Budget, ...]:
         return tuple(map(self.values.__getitem__, self.codes.tolist()))
-
-    @property
-    def size(self) -> int:
-        return int(self.codes.size)
 
     @property
     def mu(self) -> Fraction:

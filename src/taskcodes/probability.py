@@ -225,7 +225,8 @@ class Pmf:
 
     @property
     def support(self) -> np.ndarray:
-        """Indices with strictly positive mass."""
+        """Indices with strictly positive mass; refused for a TypeLaw, whose symbols are types."""
+        _per_tuple(self, "support")
         return np.flatnonzero(self.masses > 0.0)
 
     def __repr__(self) -> str:
@@ -460,29 +461,17 @@ def _combinations(m: int, d: int) -> np.ndarray:
 
 class TypeLaw(Pmf):
     """The law of n i.i.d. letters of a Pmf held on the classes of an
-    IidTypes: a Pmf whose symbols are types.  `masses[t]` and
-    `log_masses[t]` are the mass of each tuple of type t, as iid_joint gives
-    it, and `multiplicity` counts those tuples.  `size` is k^n, the number
-    of tuples; sums over the law weight each type by its multiplicity
-    (grouped_fsum)."""
+    IidTypes: a Pmf whose symbols are types, plus three data fields.
+    `masses[t]` and `log_masses[t]` are the mass of each tuple of type t, as
+    iid_joint gives it.  `types` is the IidTypes, `multiplicity` its count
+    of the tuples of each type, and `size` is k^n, the number of tuples;
+    sums over the law weight each type by its multiplicity (grouped_fsum)."""
 
-    __slots__ = ("types",)
+    __slots__ = ("types", "multiplicity", "size")
 
     def __init__(self, p: Pmf, types: IidTypes) -> None:
-        self.types = types
+        self.types, self.multiplicity, self.size = types, types.multiplicity, types.size
         self._normalize(np.exp2(types.log_masses(p)))
-
-    @property
-    def multiplicity(self) -> np.ndarray:
-        return self.types.multiplicity
-
-    @property
-    def size(self) -> int:
-        return self.types.size
-
-    @property
-    def support(self):  # its indices would be types, while `size` counts tuples
-        _per_tuple(self, "support")
 
 
 def markov_joint(src: MarkovSource, n: int, cap: int = DEFAULT_TUPLE_CAP) -> Pmf:
@@ -540,14 +529,14 @@ def _linear_sums(first: np.ndarray, step: np.ndarray, ns):
 
     The weights w, sum v_n = 2^(start + (n-1) top + exponent) sum w, start
     at exp2(first - start) and step to w A, A = exp2(step - top), summed in
-    increasing x (einsum: BLAS picks its order by CPU); an exact power of
-    two rescales w when its top leaves [2^-301, 2^300).  With every
-    positive weight within 2^-300 of the largest, a product w(x) A(x,x') is
-    0 or a float of at least 2^-901, which rounds relatively and keeps
-    every term the log domain keeps.  A value is certified when a
-    first-order bound on its rounding is below 2^-40 of it, which fails
-    where rounding decides the sum (a nearly deterministic chain, an order
-    next to 1)."""
+    increasing x (einsum, not BLAS `@`, whose summation order depends on the
+    CPU kernel); an exact power of two rescales w when its top leaves
+    [2^-301, 2^300).  With every positive weight within 2^-300 of the
+    largest, a product w(x) A(x,x') is 0 or a float of at least 2^-901,
+    which rounds relatively and keeps every term the log domain keeps.  A
+    value is certified when a first-order bound on its rounding is below
+    2^-40 of it, which fails where rounding decides the sum (a nearly
+    deterministic chain, an order next to 1)."""
     first, step = _scaled(first), _scaled(step)
     if first is None or step is None:
         return

@@ -90,7 +90,7 @@ def workdir(tmp_path_factory):
     return d
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=3000, derandomize=True, deadline=None)
 @given(argv=argvs())
 @example(argv=["mismatch", "--pmf", "bern.pmf", "--q", "tiny.pmf"])  # KL's ratio overflows
 def test_every_call_ends_in_output_or_one_error_line(workdir, argv):

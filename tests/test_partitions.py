@@ -49,6 +49,11 @@ class TestPartition:
     def test_repr_shows_sorted_blocks(self):
         assert repr(Partition([[2, 0], [1]])) == "Partition([[0, 2], [1]])"
 
+    def test_sizes_are_ints(self):
+        for part in (Partition([[0, 2], [1]]), Partition.from_labels(np.array([1, 0, 1]))):
+            assert (type(part.ground_size), type(part.num_blocks)) == (int, int)
+            assert (part.ground_size, part.num_blocks) == (3, 2)
+
     def test_equals_only_partitions(self):
         assert Partition([[0]]).__eq__(0) is NotImplemented
         assert (Partition([[0]]) == 0) is False
@@ -103,6 +108,10 @@ class TestLambdaBudget:
 
     def test_infinity_contributes_zero(self):
         assert LambdaBudget([math.inf, math.inf]).mu == 0
+
+    def test_size_is_an_int(self):
+        for budget in (LambdaBudget([2, math.inf, 2]), LambdaBudget([2, 3], index=[1, 1, 0])):
+            assert type(budget.size) is int and budget.size == 3
 
     def test_repr_lists_the_budgets(self):
         assert repr(LambdaBudget([3, math.inf, 1])) == "LambdaBudget([3, inf, 1])"

@@ -5,6 +5,7 @@ encoder from build_encoder and its moment from moment, over every tuple,
 and the Renyi entropy and Sundaresan's penalty sum the tuples with fsum
 (each tuple weighted 1).  The type path must give the same row bit for bit.
 """
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -508,6 +509,21 @@ def test_type_law_is_a_pmf():
     law = TypeLaw(Pmf([0.5, 0.5]), IidTypes(2, 3))
     assert isinstance(law, Pmf)
     assert repr(law) == "TypeLaw([0.125, 0.125, 0.125, 0.125])"
+
+
+def test_type_law_is_a_pmf_plus_data():
+    # every other member is the Pmf's; the slots hold what the law is built with
+    members = vars(TypeLaw).items()
+    assert [name for name, v in members if inspect.isfunction(v)
+            or isinstance(v, (property, classmethod, staticmethod))] == ["__init__"]
+    assert {name for name, v in members if inspect.ismemberdescriptor(v)} == {
+        "types", "multiplicity", "size"}
+    types = IidTypes(2, 3)
+    law = TypeLaw(Pmf([0.9, 0.1]), types)
+    assert (law.types, law.multiplicity, law.size) == (types, types.multiplicity, 8)
+    assert isinstance(vars(IidTypes)["size"], property)  # k^n only when asked for
+    with pytest.raises(TypeError, match="^a TypeLaw has no support over its tuples; use iid_joint$"):
+        law.support
 
 
 def test_divergence_limits_refuse_a_type_law():
